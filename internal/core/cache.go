@@ -2,28 +2,20 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hw"
 )
 
 // The configuration cache of Algorithm 1 (lines 4-6) is the planner's fast
 // path: at steady state every transfer is a cache hit, so the lookup must
-// be allocation-free and safe under concurrent traffic. The cache is
-// sharded by key hash; each shard is an RWMutex-guarded map with a CLOCK
-// ring bounding the number of retained plans. Concurrent misses for the
-// same key are merged (built-in singleflight): the first caller computes,
-// later callers block on the entry's done channel and share the result.
+// be allocation-free and safe under concurrent traffic. Model holds a
+// par.Cache keyed by planKey; this file keeps the key hashing, size
+// quantization, and the exported statistics shape.
 
-const (
-	// cacheShardCount spreads lock contention; must be a power of two.
-	cacheShardCount = 16
-	// DefaultCacheCapacity bounds retained plans when Options.CacheCapacity
-	// is zero. Plans are small (a few hundred bytes); 4096 covers every
-	// (path set, size class) pair any workload in the paper touches.
-	DefaultCacheCapacity = 4096
-)
+// DefaultCacheCapacity bounds retained plans when Options.CacheCapacity is
+// zero. Plans are small (a few hundred bytes); 4096 covers every (path set,
+// size class) pair any workload in the paper touches.
+const DefaultCacheCapacity = 4096
 
 // CacheStats counts configuration-cache behaviour (Algorithm 1 lines 4-6).
 // Counters are cumulative across InvalidateCache; ResetStats zeroes them.
@@ -39,218 +31,6 @@ type CacheStats struct {
 	// InflightMerges counts lookups that joined an in-flight computation
 	// of the same key instead of recomputing it (singleflight).
 	InflightMerges int64 `json:"inflight_merges"`
-}
-
-// cacheEntry is one cached plan. Before the computation finishes, waiters
-// block on done; after close(done) the plan/err fields are immutable.
-type cacheEntry struct {
-	key      uint64
-	plan     *Plan
-	err      error
-	done     chan struct{}
-	computed bool        // guarded by the shard lock
-	ref      atomic.Bool // CLOCK reference bit; set on hit under RLock
-}
-
-// cacheShard is one lock domain of the plan cache.
-type cacheShard struct {
-	mu      sync.RWMutex
-	entries map[uint64]*cacheEntry
-	// ring holds completed entries only (in-flight entries join it when
-	// their computation publishes), so CLOCK never has to skip an entry
-	// that cannot be evicted.
-	ring []*cacheEntry
-	hand int
-	cap  int
-}
-
-// planCache is the concurrency-safe bounded plan cache.
-type planCache struct {
-	shards [cacheShardCount]cacheShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	merges    atomic.Int64
-}
-
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	perShard := (capacity + cacheShardCount - 1) / cacheShardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &planCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*cacheEntry)
-		c.shards[i].cap = perShard
-	}
-	return c
-}
-
-// get returns the cached plan for key, computing it with compute on a miss.
-// Concurrent misses for the same key run compute once. Failed computations
-// are not cached.
-func (c *planCache) get(key uint64, compute func() (*Plan, error)) (*Plan, error) {
-	s := &c.shards[key&(cacheShardCount-1)]
-
-	s.mu.RLock()
-	if e, ok := s.entries[key]; ok {
-		if e.computed {
-			pl, err := e.plan, e.err
-			e.ref.Store(true)
-			s.mu.RUnlock()
-			c.hits.Add(1)
-			return pl, err
-		}
-		s.mu.RUnlock()
-		c.merges.Add(1)
-		<-e.done // close happens-after e.plan/e.err are published
-		return e.plan, e.err
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		// Lost the upgrade race: someone else inserted between our RUnlock
-		// and Lock.
-		if e.computed {
-			pl, err := e.plan, e.err
-			e.ref.Store(true)
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return pl, err
-		}
-		s.mu.Unlock()
-		c.merges.Add(1)
-		<-e.done
-		return e.plan, e.err
-	}
-	e := &cacheEntry{key: key, done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	c.misses.Add(1)
-
-	pl, err := compute()
-
-	s.mu.Lock()
-	e.plan, e.err = pl, err
-	e.computed = true
-	// The map slot may have been replaced by InvalidateCache while we were
-	// computing; only publish into the ring if we still own it.
-	if s.entries[key] == e {
-		if err != nil {
-			delete(s.entries, key)
-		} else {
-			c.evictions.Add(s.installLocked(e))
-		}
-	}
-	s.mu.Unlock()
-	close(e.done)
-	return pl, err
-}
-
-// installLocked adds a completed entry to the CLOCK ring, evicting a victim when
-// the shard is at capacity. Called with the shard write lock held; returns
-// the number of evicted entries (0 or 1).
-func (s *cacheShard) installLocked(e *cacheEntry) int64 {
-	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, e)
-		return 0
-	}
-	// CLOCK sweep: terminate within two passes — the first pass clears
-	// every reference bit, the second finds an unreferenced victim.
-	for {
-		v := s.ring[s.hand]
-		if v.ref.Swap(false) {
-			s.hand = (s.hand + 1) % len(s.ring)
-			continue
-		}
-		delete(s.entries, v.key)
-		s.ring[s.hand] = e
-		s.hand = (s.hand + 1) % len(s.ring)
-		return 1
-	}
-}
-
-// invalidate drops every cached plan. In-flight computations complete and
-// deliver their result to waiters but are not re-cached (their map slot is
-// gone), so plans computed before the invalidation never reappear after it.
-func (c *planCache) invalidate() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.entries)
-		for j := range s.ring {
-			s.ring[j] = nil
-		}
-		s.ring = s.ring[:0]
-		s.hand = 0
-		s.mu.Unlock()
-	}
-}
-
-// invalidateMatching drops completed entries whose plan satisfies pred, and
-// every in-flight entry (its plan cannot be inspected yet; dropping the map
-// slot means the computation finishes, delivers to its waiters, and is not
-// re-cached — the same conservative rule invalidate uses).
-func (c *planCache) invalidateMatching(pred func(*Plan) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key, e := range s.entries {
-			if !e.computed || e.plan == nil || pred(e.plan) {
-				delete(s.entries, key)
-			}
-		}
-		// Rebuild the CLOCK ring keeping only survivors.
-		keep := s.ring[:0]
-		for _, e := range s.ring {
-			if _, ok := s.entries[e.key]; ok && s.entries[e.key] == e {
-				keep = append(keep, e)
-			}
-		}
-		for j := len(keep); j < len(s.ring); j++ {
-			s.ring[j] = nil
-		}
-		s.ring = keep
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		s.mu.Unlock()
-	}
-}
-
-// len counts retained (completed or in-flight) entries.
-func (c *planCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-func (c *planCache) stats() CacheStats {
-	return CacheStats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Evictions:      c.evictions.Load(),
-		InflightMerges: c.merges.Load(),
-	}
-}
-
-func (c *planCache) resetStats() CacheStats {
-	return CacheStats{
-		Hits:           c.hits.Swap(0),
-		Misses:         c.misses.Swap(0),
-		Evictions:      c.evictions.Swap(0),
-		InflightMerges: c.merges.Swap(0),
-	}
 }
 
 // --- key hashing -----------------------------------------------------------

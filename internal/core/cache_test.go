@@ -260,6 +260,25 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitZeroAllocs pins the steady-state fast path at zero
+// allocations: boxing a value or heap-allocating the compute closure in
+// the cache would show here before it shows in a benchmark.
+func TestPlanCacheHitZeroAllocs(t *testing.T) {
+	spec, m := clusterModel(t, hw.Beluga, DefaultOptions())
+	paths := pathsFor(t, spec, hw.ThreeGPUsWithHost)
+	if _, err := m.PlanTransfer(paths, 64*hw.MiB); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := m.PlanTransfer(paths, 64*hw.MiB); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm PlanTransfer allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestResetStats checks the snapshot-and-zero semantics.
 func TestResetStats(t *testing.T) {
 	spec, m := clusterModel(t, hw.Beluga, DefaultOptions())

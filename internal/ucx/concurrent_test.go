@@ -97,9 +97,7 @@ func TestContextConcurrentPlanning(t *testing.T) {
 	// once per call: every pattern model build plans its hint pairs
 	// against the shared model, so a bounded number of distinct builds is
 	// the observable invariant.
-	ctx.modelMu.Lock()
-	nPattern, nBidir := len(ctx.patternModels), len(ctx.bidirModels)
-	ctx.modelMu.Unlock()
+	nPattern, nBidir := ctx.patternModels.Len(), ctx.bidirModels.Len()
 	if nPattern == 0 || nPattern > len(pairs)*len(hints) {
 		t.Fatalf("pattern models = %d, want in (0, %d]", nPattern, len(pairs)*len(hints))
 	}
@@ -124,20 +122,19 @@ func TestCountersSurviveConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			last := 0
+			var last int64
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				if p := ctx.Puts(); p < last {
+				if p := ctx.StatsSnapshot().Puts; p < last {
 					t.Errorf("Puts went backwards: %d -> %d", last, p)
 					return
 				} else {
 					last = p
 				}
-				_ = ctx.IpcOpens()
 			}
 		}()
 	}
@@ -152,10 +149,11 @@ func TestCountersSurviveConcurrentReads(t *testing.T) {
 	if err := ctx.Runtime().Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Puts(); got != puts {
+	st := ctx.StatsSnapshot()
+	if got := st.Puts; got != puts {
 		t.Fatalf("Puts = %d, want %d", got, puts)
 	}
-	if got := ctx.IpcOpens(); got != 1 {
+	if got := st.IpcOpens; got != 1 {
 		t.Fatalf("IpcOpens = %d, want 1 (translation cache)", got)
 	}
 }

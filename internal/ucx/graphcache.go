@@ -4,27 +4,14 @@ package ucx
 // layered over the planner's configuration cache and keyed identically
 // (core.Plan.Key — the same uint64 hash of candidate paths and size). At
 // steady state a warm Put is: plan-cache hit → graph-cache hit → one O(1)
-// graph replay. The structure mirrors core's planCache: sharded
-// RWMutex-guarded maps, a CLOCK ring bounding retained graphs (evicted
-// graphs release their staging memory), and done-channel singleflight so
-// concurrent misses for one key instantiate exactly once.
+// graph replay. It is a par.Cache, the same sharded CLOCK cache with
+// singleflight misses that backs the plan cache; graphs it drops release
+// their staging memory.
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/pipeline"
-)
-
-const (
-	// graphShardCount spreads lock contention; must be a power of two.
-	graphShardCount = 16
-	// graphCacheCapacity bounds retained compiled graphs. Graphs are
-	// heavier than plans (each staged path holds a staging ring), so the
-	// bound is much tighter than the plan cache's.
-	graphCacheCapacity = 256
-)
+// graphCacheCapacity bounds retained compiled graphs. Graphs are heavier
+// than plans (each staged path holds a staging ring), so the bound is much
+// tighter than the plan cache's.
+const graphCacheCapacity = 256
 
 // GraphStats counts compiled-graph cache and executor behaviour. The JSON
 // tags are part of the serving wire contract (StatsSnapshot embeds this
@@ -50,246 +37,4 @@ type GraphStats struct {
 	// InflightMerges counts lookups that joined an in-flight compilation
 	// of the same key (singleflight).
 	InflightMerges int64 `json:"inflight_merges"`
-}
-
-// graphEntry is one cached compiled graph. Before compilation finishes,
-// waiters block on done; after close(done) cp/err are immutable (the
-// compiled plan itself may later be patched in place by the executor).
-type graphEntry struct {
-	key      uint64
-	cp       *pipeline.CompiledPlan
-	err      error
-	done     chan struct{}
-	computed bool        // guarded by the shard lock
-	ref      atomic.Bool // CLOCK reference bit; set on hit under RLock
-}
-
-// graphShard is one lock domain of the graph cache.
-type graphShard struct {
-	mu      sync.RWMutex
-	entries map[uint64]*graphEntry
-	// ring holds completed entries only, as in the plan cache.
-	ring []*graphEntry
-	hand int
-	cap  int
-}
-
-// graphCache is the concurrency-safe bounded compiled-graph cache.
-type graphCache struct {
-	shards [graphShardCount]graphShard
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	compiles      atomic.Int64
-	replays       atomic.Int64
-	patches       atomic.Int64
-	invalidations atomic.Int64
-	evictions     atomic.Int64
-	merges        atomic.Int64
-}
-
-func newGraphCache() *graphCache {
-	perShard := graphCacheCapacity / graphShardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &graphCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*graphEntry)
-		c.shards[i].cap = perShard
-	}
-	return c
-}
-
-// get returns the cached compiled graph for key, compiling with compile on
-// a miss. Concurrent misses for the same key run compile once; the rest
-// wait on the entry's done channel. Failed compilations are not cached.
-func (c *graphCache) get(key uint64, compile func() (*pipeline.CompiledPlan, error)) (*pipeline.CompiledPlan, error) {
-	s := &c.shards[key&(graphShardCount-1)]
-
-	s.mu.RLock()
-	if e, ok := s.entries[key]; ok {
-		if e.computed {
-			cp, err := e.cp, e.err
-			e.ref.Store(true)
-			s.mu.RUnlock()
-			c.hits.Add(1)
-			return cp, err
-		}
-		s.mu.RUnlock()
-		c.merges.Add(1)
-		<-e.done // close happens-after e.cp/e.err are published
-		return e.cp, e.err
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		if e.computed {
-			cp, err := e.cp, e.err
-			e.ref.Store(true)
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return cp, err
-		}
-		s.mu.Unlock()
-		c.merges.Add(1)
-		<-e.done
-		return e.cp, e.err
-	}
-	e := &graphEntry{key: key, done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	c.misses.Add(1)
-
-	cp, err := compile()
-
-	var evicted *pipeline.CompiledPlan
-	s.mu.Lock()
-	e.cp, e.err = cp, err
-	e.computed = true
-	// The slot may have been replaced by an invalidation while compiling;
-	// only publish into the ring if we still own it.
-	if s.entries[key] == e {
-		if err != nil {
-			delete(s.entries, key)
-		} else {
-			var n int64
-			evicted, n = s.installLocked(e)
-			c.evictions.Add(n)
-		}
-	}
-	s.mu.Unlock()
-	close(e.done)
-	if evicted != nil {
-		evicted.Release()
-	}
-	return cp, err
-}
-
-// installLocked adds a completed entry to the CLOCK ring, evicting a victim when
-// the shard is at capacity. Called with the shard write lock held; the
-// victim's compiled plan is returned for the caller to release outside the
-// lock.
-func (s *graphShard) installLocked(e *graphEntry) (*pipeline.CompiledPlan, int64) {
-	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, e)
-		return nil, 0
-	}
-	for {
-		v := s.ring[s.hand]
-		if v.ref.Swap(false) {
-			s.hand = (s.hand + 1) % len(s.ring)
-			continue
-		}
-		delete(s.entries, v.key)
-		s.ring[s.hand] = e
-		s.hand = (s.hand + 1) % len(s.ring)
-		return v.cp, 1
-	}
-}
-
-// replace swaps the graph cached under key for cp (a structural recompile:
-// the old topology no longer matches the plan). The old graph is released.
-func (c *graphCache) replace(key uint64, cp *pipeline.CompiledPlan) {
-	s := &c.shards[key&(graphShardCount-1)]
-	var old, evicted *pipeline.CompiledPlan
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok && e.computed {
-		old, e.cp, e.err = e.cp, cp, nil
-	} else if !ok {
-		e := &graphEntry{key: key, cp: cp, computed: true, done: make(chan struct{})}
-		close(e.done)
-		s.entries[key] = e
-		var n int64
-		evicted, n = s.installLocked(e)
-		c.evictions.Add(n)
-	}
-	s.mu.Unlock()
-	if old != nil && old != cp {
-		old.Release()
-	}
-	if evicted != nil {
-		evicted.Release()
-	}
-}
-
-// invalidateAll drops every cached graph (a fault notification: link state
-// changed, so every baked byte split is stale). In-flight compilations
-// deliver to their waiters but are not re-cached. Dropped graphs release
-// their staging memory; replays already launched keep running.
-func (c *graphCache) invalidateAll() {
-	c.invalidateMatching(func(*pipeline.CompiledPlan) bool { return true })
-}
-
-// invalidateMatching drops completed graphs whose compiled plan satisfies
-// pred, plus every in-flight entry (its plan cannot be inspected yet — the
-// same conservative rule the plan cache uses).
-func (c *graphCache) invalidateMatching(pred func(*pipeline.CompiledPlan) bool) {
-	var released []*pipeline.CompiledPlan
-	dropped := int64(0)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		var drop []uint64
-		for key, e := range s.entries {
-			if !e.computed || e.cp == nil || pred(e.cp) {
-				drop = append(drop, key)
-			}
-		}
-		// Sorted so the staging memory of dropped graphs is released in a
-		// deterministic order.
-		sort.Slice(drop, func(a, b int) bool { return drop[a] < drop[b] })
-		for _, key := range drop {
-			e := s.entries[key]
-			if e.computed && e.cp != nil {
-				released = append(released, e.cp)
-			}
-			delete(s.entries, key)
-			dropped++
-		}
-		keep := s.ring[:0]
-		for _, e := range s.ring {
-			if cur, ok := s.entries[e.key]; ok && cur == e {
-				keep = append(keep, e)
-			}
-		}
-		for j := len(keep); j < len(s.ring); j++ {
-			s.ring[j] = nil
-		}
-		s.ring = keep
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		s.mu.Unlock()
-	}
-	c.invalidations.Add(dropped)
-	for _, cp := range released {
-		cp.Release()
-	}
-}
-
-// len counts retained (completed or in-flight) entries.
-func (c *graphCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-func (c *graphCache) stats() GraphStats {
-	return GraphStats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Compiles:       c.compiles.Load(),
-		Replays:        c.replays.Load(),
-		Patches:        c.patches.Load(),
-		Invalidations:  c.invalidations.Load(),
-		Evictions:      c.evictions.Load(),
-		InflightMerges: c.merges.Load(),
-	}
 }

@@ -20,7 +20,17 @@ func (c *Context) GraphStats() GraphStats {
 	if c.graphs == nil {
 		return GraphStats{}
 	}
-	return c.graphs.stats()
+	cs := c.graphs.Stats()
+	return GraphStats{
+		Hits:           cs.Hits,
+		Misses:         cs.Misses,
+		Compiles:       c.compiles.Load(),
+		Replays:        c.replays.Load(),
+		Patches:        c.patches.Load(),
+		Invalidations:  c.invalidations.Load(),
+		Evictions:      cs.Evictions,
+		InflightMerges: cs.InflightMerges,
+	}
 }
 
 // GraphCount reports how many compiled graphs the cache retains.
@@ -28,7 +38,7 @@ func (c *Context) GraphCount() int {
 	if c.graphs == nil {
 		return 0
 	}
-	return c.graphs.len()
+	return c.graphs.Len()
 }
 
 // execPlan executes one whole-plan attempt, through the compiled-graph
@@ -48,7 +58,7 @@ func (c *Context) execPlan(pl *core.Plan, parent obs.SpanID) (*pipeline.Result, 
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.replays.Add(1)
+	c.replays.Add(1)
 	return res, nil
 }
 
@@ -60,8 +70,8 @@ func (c *Context) execPlan(pl *core.Plan, parent obs.SpanID) (*pipeline.Result, 
 // path structure itself changed.
 func (c *Context) compiledFor(pl *core.Plan) (*pipeline.CompiledPlan, error) {
 	key := pl.Key()
-	cp, err := c.graphs.get(key, func() (*pipeline.CompiledPlan, error) {
-		c.graphs.compiles.Add(1)
+	cp, err := c.graphs.Get(key, func() (*pipeline.CompiledPlan, error) {
+		c.compiles.Add(1)
 		return c.engine.Compile(pl)
 	})
 	if err != nil {
@@ -74,15 +84,15 @@ func (c *Context) compiledFor(pl *core.Plan) (*pipeline.CompiledPlan, error) {
 		if err := cp.UpdateTo(pl); err != nil {
 			return nil, err
 		}
-		c.graphs.patches.Add(1)
+		c.patches.Add(1)
 		return cp, nil
 	}
 	nc, err := c.engine.Compile(pl)
 	if err != nil {
 		return nil, err
 	}
-	c.graphs.compiles.Add(1)
-	c.graphs.replace(key, nc)
+	c.compiles.Add(1)
+	c.graphs.Replace(key, nc)
 	return nc, nil
 }
 
@@ -99,8 +109,8 @@ func (c *Context) execChunk(f *mpFeeder, pl *core.Plan, parent obs.SpanID) (*pip
 	if f.graph != nil && pipeline.Patchable(f.graph.Plan(), pl) {
 		if err := f.graph.UpdateTo(pl); err == nil {
 			if res, err := c.engine.ExecuteCompiledSpan(f.graph, parent); err == nil {
-				c.graphs.patches.Add(1)
-				c.graphs.replays.Add(1)
+				c.patches.Add(1)
+				c.replays.Add(1)
 				return res, nil
 			}
 		}
@@ -110,13 +120,13 @@ func (c *Context) execChunk(f *mpFeeder, pl *core.Plan, parent obs.SpanID) (*pip
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.compiles.Add(1)
+	c.compiles.Add(1)
 	f.graph = cp
 	res, err := c.engine.ExecuteCompiledSpan(cp, parent)
 	if err != nil {
 		return c.engine.ExecuteSpan(pl, parent)
 	}
-	c.graphs.replays.Add(1)
+	c.replays.Add(1)
 	return res, nil
 }
 
@@ -136,9 +146,9 @@ func (c *Context) invalidateGraphsFor(excluded map[hw.Path]bool) {
 	if c.graphs == nil || len(excluded) == 0 {
 		return
 	}
-	c.graphs.invalidateMatching(func(cp *pipeline.CompiledPlan) bool {
+	c.invalidations.Add(int64(c.graphs.InvalidateMatching(func(cp *pipeline.CompiledPlan) bool {
 		return planUsesAny(cp.Plan(), excluded)
-	})
+	})))
 }
 
 // planUsesAny reports whether any active path of the plan is in the set.

@@ -1,16 +1,9 @@
 package ucx
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/cuda"
 	"repro/internal/hw"
-	"repro/internal/pipeline"
-	"repro/internal/sim"
 )
 
 func graphsConfig() Config {
@@ -221,131 +214,5 @@ func TestGraphsAdaptiveFeederPatches(t *testing.T) {
 	}
 	if st.Patches < 1 {
 		t.Fatalf("adaptive run patched %d graphs, want ≥ 1 (stats %+v)", st.Patches, st)
-	}
-}
-
-// directCompiled builds a minimal real compiled plan (direct path, no
-// staging memory) for cache-mechanics tests.
-func directCompiled(t *testing.T, eng *pipeline.Engine, bytes float64) *pipeline.CompiledPlan {
-	t.Helper()
-	p := hw.Path{Kind: hw.Direct, Src: 0, Dst: 1}
-	pl := &core.Plan{Src: 0, Dst: 1, Bytes: bytes, Paths: []core.PathPlan{{
-		Path:   p,
-		Param:  core.PathParam{Path: p, Legs: []core.LinkParam{{Alpha: 0, Beta: 100}}},
-		Bytes:  bytes,
-		Chunks: 1,
-	}}}
-	cp, err := eng.Compile(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cp
-}
-
-func testEngine(t *testing.T) *pipeline.Engine {
-	t.Helper()
-	s := sim.New()
-	node, err := hw.Build(s, hw.Beluga())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pipeline.New(cuda.NewRuntime(node), pipeline.DefaultConfig())
-}
-
-func TestGraphCacheSingleflightRace(t *testing.T) {
-	// Concurrent misses for the same key must instantiate exactly once.
-	// The compile funcs return precompiled plans so goroutines never touch
-	// the (single-threaded) simulator.
-	eng := testEngine(t)
-	const keys = 8
-	const workers = 16
-	const iters = 200
-	plans := make([]*pipeline.CompiledPlan, keys)
-	for i := range plans {
-		plans[i] = directCompiled(t, eng, float64((i+1))*hw.MiB)
-	}
-	cache := newGraphCache()
-	var compiles [keys]atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				k := i % keys
-				cp, err := cache.get(uint64(k), func() (*pipeline.CompiledPlan, error) {
-					compiles[k].Add(1)
-					return plans[k], nil
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if cp != plans[k] {
-					t.Errorf("key %d returned wrong plan", k)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for k := range compiles {
-		if n := compiles[k].Load(); n != 1 {
-			t.Errorf("key %d compiled %d times, want exactly 1", k, n)
-		}
-	}
-	st := cache.stats()
-	if st.Misses != keys {
-		t.Errorf("misses = %d, want %d", st.Misses, keys)
-	}
-	if got, want := st.Hits+st.InflightMerges, int64(workers*iters-keys); got != want {
-		t.Errorf("hits+merges = %d, want %d", got, want)
-	}
-}
-
-func TestGraphCacheErrorNotCached(t *testing.T) {
-	eng := testEngine(t)
-	cache := newGraphCache()
-	boom := fmt.Errorf("compile exploded")
-	if _, err := cache.get(42, func() (*pipeline.CompiledPlan, error) {
-		return nil, boom
-	}); err != boom {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if cache.len() != 0 {
-		t.Fatal("failed compilation was cached")
-	}
-	want := directCompiled(t, eng, hw.MiB)
-	got, err := cache.get(42, func() (*pipeline.CompiledPlan, error) {
-		return want, nil
-	})
-	if err != nil || got != want {
-		t.Fatalf("retry after failure: got %v, %v", got, err)
-	}
-	if st := cache.stats(); st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (failure not cached)", st.Misses)
-	}
-}
-
-func TestGraphCacheClockEviction(t *testing.T) {
-	// Overfill a single shard (capacity 16): the CLOCK hand must evict to
-	// stay within bound, and evicted plans must be released (safe because
-	// direct plans hold no staging memory).
-	eng := testEngine(t)
-	cache := newGraphCache()
-	perShard := graphCacheCapacity / graphShardCount
-	total := perShard + 4
-	for i := 0; i < total; i++ {
-		cp := directCompiled(t, eng, float64(i+1)*hw.MiB)
-		key := uint64(i)<<4 | 3 // all keys land in shard 3
-		if _, err := cache.get(key, func() (*pipeline.CompiledPlan, error) { return cp, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := cache.len(); n != perShard {
-		t.Fatalf("cache retains %d entries, want %d", n, perShard)
-	}
-	if st := cache.stats(); st.Evictions != int64(total-perShard) {
-		t.Fatalf("evictions = %d, want %d", st.Evictions, total-perShard)
 	}
 }

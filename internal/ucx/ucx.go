@@ -28,6 +28,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
@@ -328,8 +329,8 @@ func PathSetByName(name string) (hw.PathSet, error) {
 //
 // Planning state is safe for concurrent use: the shared core.Model is a
 // concurrent sharded cache, the per-pair/per-pattern derived planners are
-// built under modelMu with double-checked lookup (one concurrent model per
-// pair, shared by every endpoint that plans against it), and the
+// built once each through par.Flight (one concurrent model per pair or
+// pattern, shared by every endpoint that plans against it), and the
 // operation counters are atomic. Simulator execution (Put/Get) remains
 // single-threaded, as the discrete-event core is; PlanFor is the
 // goroutine-safe planning entry point.
@@ -346,8 +347,13 @@ type Context struct {
 	observer *core.Observer
 
 	// graphs is the compiled-graph cache (nil unless Config.GraphsEnable
-	// is set). Keyed like the plan cache; see graphcache.go.
-	graphs *graphCache
+	// is set). Keyed like the plan cache; see graphcache.go. The graph
+	// executor counters below are reported by GraphStats.
+	graphs        *par.Cache[*pipeline.CompiledPlan]
+	compiles      atomic.Int64
+	replays       atomic.Int64
+	patches       atomic.Int64
+	invalidations atomic.Int64
 
 	// tracer/metrics are the observability layer (nil unless Config.Trace
 	// is set); met caches the registry's hot metric pointers. See obs.go.
@@ -364,12 +370,10 @@ type Context struct {
 	retries   atomic.Int64
 	failovers atomic.Int64
 
-	// modelMu guards the derived-planner maps below.
-	modelMu sync.Mutex
 	// bidirModels caches per-pair contention-aware planners (BidirAware).
-	bidirModels map[[2]int]*core.Model
+	bidirModels par.Flight[[2]int, *core.Model]
 	// patternModels caches planners per communication-pattern hint.
-	patternModels map[string]*core.Model
+	patternModels par.Flight[string, *core.Model]
 
 	// inflightMu guards inflight, which counts active rendezvous
 	// transfers per (src, dst) pair, feeding LoadAware planning.
@@ -398,23 +402,21 @@ func NewContext(rt *cuda.Runtime, cfg Config) (*Context, error) {
 	if cfg.Planner != nil {
 		planner = cfg.Planner
 	}
-	var graphs *graphCache
+	var graphs *par.Cache[*pipeline.CompiledPlan]
 	if cfg.GraphsEnable {
-		graphs = newGraphCache()
+		graphs = par.NewCache(graphCacheCapacity, (*pipeline.CompiledPlan).Release)
 	}
 	c := &Context{
-		cfg:           cfg,
-		rt:            rt,
-		engine:        pipeline.New(rt, cfg.EngineConfig),
-		model:         model,
-		planner:       planner,
-		sel:           sel,
-		observer:      observer,
-		graphs:        graphs,
-		ipcOpened:     make(map[[2]int]bool),
-		bidirModels:   make(map[[2]int]*core.Model),
-		patternModels: make(map[string]*core.Model),
-		inflight:      make(map[[2]int]int),
+		cfg:       cfg,
+		rt:        rt,
+		engine:    pipeline.New(rt, cfg.EngineConfig),
+		model:     model,
+		planner:   planner,
+		sel:       sel,
+		observer:  observer,
+		graphs:    graphs,
+		ipcOpened: make(map[[2]int]bool),
+		inflight:  make(map[[2]int]int),
 	}
 	if cfg.Trace {
 		c.initObs()
@@ -430,33 +432,6 @@ func (c *Context) Runtime() *cuda.Runtime { return c.rt }
 
 // Config returns the active configuration.
 func (c *Context) Config() Config { return c.cfg }
-
-// The per-counter accessors below are retained as thin wrappers over the
-// unified StatsSnapshot document (obs.go), which is the one statistics
-// surface: the JSON shape served by mpserve's /v1/stats and printed by
-// mpbench's run footer. New code should take one snapshot and read its
-// fields instead of polling counters one at a time.
-
-// IpcOpens reports how many IPC handle opens were performed (cache misses).
-//
-// Deprecated: read StatsSnapshot().IpcOpens instead.
-func (c *Context) IpcOpens() int { return int(c.StatsSnapshot().IpcOpens) }
-
-// Puts reports the number of Put operations issued.
-//
-// Deprecated: read StatsSnapshot().Puts instead.
-func (c *Context) Puts() int { return int(c.StatsSnapshot().Puts) }
-
-// Retries reports how many failed transfer attempts were re-planned and
-// re-executed by the failover machinery.
-//
-// Deprecated: read StatsSnapshot().Retries instead.
-func (c *Context) Retries() int { return int(c.StatsSnapshot().Retries) }
-
-// Failovers reports how many paths were excluded by failover re-plans.
-//
-// Deprecated: read StatsSnapshot().Failovers instead.
-func (c *Context) Failovers() int { return int(c.StatsSnapshot().Failovers) }
 
 // Observer returns the online recalibration observer, or nil when
 // Config.Recalibrate is off.
@@ -494,7 +469,8 @@ func (c *Context) NotifyFault() {
 	if c.graphs != nil {
 		// Every compiled graph baked its byte split against the old link
 		// state; drop them all so warm transfers recompile against the new.
-		c.graphs.invalidateAll()
+		all := func(*pipeline.CompiledPlan) bool { return true }
+		c.invalidations.Add(int64(c.graphs.InvalidateMatching(all)))
 	}
 	c.runsMu.Lock()
 	runs := append([]*mpRun(nil), c.runs...)
@@ -777,72 +753,59 @@ func (c *Context) inflightPairs(src, dst int) [][2]int {
 // part of the load.
 func (c *Context) patternModel(src, dst int, concurrent [][2]int) (*core.Model, error) {
 	key := fmt.Sprintf("%d:%d|%v", src, dst, concurrent)
-	// Holding modelMu across the build serializes concurrent misses for
-	// the same pattern: one goroutine builds, the rest find the cached
-	// planner. Builds are rare (one per distinct pattern) and cheap next
-	// to the searches they replace, so a single lock is enough.
-	c.modelMu.Lock()
-	defer c.modelMu.Unlock()
-	if m, ok := c.patternModels[key]; ok {
-		return m, nil
-	}
-	spec := c.rt.Node().Spec
-	// Estimate each concurrent transfer's commitment from its own naive
-	// plan at a reference size: the links it uses, weighted by its θ
-	// shares at its predicted rate.
-	const refN = 64 * hw.MiB
-	var loads []core.LoadedPath
-	for _, pair := range concurrent {
-		if pair[0] == src && pair[1] == dst {
-			continue // never count the transfer being planned
+	return c.patternModels.Do(key, func() (*core.Model, error) {
+		spec := c.rt.Node().Spec
+		// Estimate each concurrent transfer's commitment from its own naive
+		// plan at a reference size: the links it uses, weighted by its θ
+		// shares at its predicted rate.
+		const refN = 64 * hw.MiB
+		var loads []core.LoadedPath
+		for _, pair := range concurrent {
+			if pair[0] == src && pair[1] == dst {
+				continue // never count the transfer being planned
+			}
+			paths, err := spec.EnumeratePaths(pair[0], pair[1], c.sel)
+			if err != nil {
+				return nil, fmt.Errorf("ucx: pattern hint pair %v: %w", pair, err)
+			}
+			pl, err := c.model.PlanTransfer(paths, refN)
+			if err != nil {
+				return nil, err
+			}
+			for _, pp := range pl.ActivePaths() {
+				loads = append(loads, core.LoadedPath{
+					Path:   pp.Path,
+					Weight: pp.Theta,
+					Rate:   pl.PredictedBandwidth,
+				})
+			}
 		}
-		paths, err := spec.EnumeratePaths(pair[0], pair[1], c.sel)
-		if err != nil {
-			return nil, fmt.Errorf("ucx: pattern hint pair %v: %w", pair, err)
-		}
-		pl, err := c.model.PlanTransfer(paths, refN)
+		source, err := core.NewWeightedContendedSource(c.rt.Node(), loads)
 		if err != nil {
 			return nil, err
 		}
-		for _, pp := range pl.ActivePaths() {
-			loads = append(loads, core.LoadedPath{
-				Path:   pp.Path,
-				Weight: pp.Theta,
-				Rate:   pl.PredictedBandwidth,
-			})
+		m := newPlannerModel(c.cfg, source)
+		if c.tracer != nil {
+			m.AttachTracer(c.tracer)
 		}
-	}
-	source, err := core.NewWeightedContendedSource(c.rt.Node(), loads)
-	if err != nil {
-		return nil, err
-	}
-	m := newPlannerModel(c.cfg, source)
-	if c.tracer != nil {
-		m.AttachTracer(c.tracer)
-	}
-	c.patternModels[key] = m
-	return m, nil
+		return m, nil
+	})
 }
 
 // bidirModel returns (building on demand) the contention-aware planner
 // for a GPU pair: it assumes the mirror transfer is concurrently active.
 func (c *Context) bidirModel(src, dst int, paths []hw.Path) (*core.Model, error) {
-	key := [2]int{src, dst}
-	c.modelMu.Lock()
-	defer c.modelMu.Unlock()
-	if m, ok := c.bidirModels[key]; ok {
+	return c.bidirModels.Do([2]int{src, dst}, func() (*core.Model, error) {
+		source, err := core.BidirectionalSource(c.rt.Node(), paths)
+		if err != nil {
+			return nil, err
+		}
+		m := newPlannerModel(c.cfg, source)
+		if c.tracer != nil {
+			m.AttachTracer(c.tracer)
+		}
 		return m, nil
-	}
-	source, err := core.BidirectionalSource(c.rt.Node(), paths)
-	if err != nil {
-		return nil, err
-	}
-	m := newPlannerModel(c.cfg, source)
-	if c.tracer != nil {
-		m.AttachTracer(c.tracer)
-	}
-	c.bidirModels[key] = m
-	return m, nil
+	})
 }
 
 // Get issues a one-sided read: data moves dst→src. It is implemented as a

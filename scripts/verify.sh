@@ -32,8 +32,8 @@ go test -race ./...
 # show up under repetition get a chance to fire.
 echo "==> go test -race -count=3 (plan-cache + shared-planner stress)"
 go test -race -count=3 \
-	-run 'TestPlanCacheConcurrentStress|TestPlanCacheSingleflight|TestContextConcurrentPlanning|TestStaticPlannerConcurrentReplay|TestGraphCacheSingleflightRace' \
-	./internal/core/ ./internal/ucx/ ./internal/tuner/
+	-run 'TestPlanCacheConcurrentStress|TestPlanCacheSingleflight|TestContextConcurrentPlanning|TestStaticPlannerConcurrentReplay|TestCacheSingleflightRace|TestCacheConcurrentStress' \
+	./internal/core/ ./internal/ucx/ ./internal/tuner/ ./internal/par/
 
 # The fault-adaptive runtime (failover, chunk-pool feeders, fault
 # injection) mixes simulator callbacks with concurrent planners; rerun its
