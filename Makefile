@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-wire bench bench-planner bench-faults bench-graphs bench-obs bench-shard bench-serve verify
+.PHONY: build test race vet golden lint lint-wire bench bench-planner bench-faults bench-graphs bench-obs bench-shard bench-serve verify
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# golden rewrites every golden file from the current code: the quick-grid
+# experiment tables in testdata/ and the Perfetto exporter's reference
+# trace. Run it only after a deliberate output change and review the diff.
+golden:
+	$(GO) test . ./internal/obs/ -run Golden -update
 
 # lint builds and runs mplint, the repo's own analyzer suite (determinism,
 # unit-safety, wire-contract freeze, concurrency invariants). It must stay

@@ -5,8 +5,6 @@
 package multipath_test
 
 import (
-	"bytes"
-	"os"
 	"testing"
 
 	multipath "repro"
@@ -149,30 +147,5 @@ func TestClaimHostStagedBIBWDegradation(t *testing.T) {
 	if predicted <= measured {
 		t.Fatalf("model should over-predict host-staged BIBW: pred %.1f vs meas %.1f GB/s",
 			predicted/1e9, measured/1e9)
-	}
-}
-
-// Golden regression: the θ-distribution figure renders bit-identically
-// run to run (the simulator and planner are fully deterministic).
-// Regenerate testdata/fig4_quick.golden deliberately when the model or
-// presets change.
-func TestGoldenFig4(t *testing.T) {
-	opts := exp.QuickOptions()
-	opts.Sizes = []float64{2 * hw.MiB, 64 * hw.MiB, 512 * hw.MiB}
-	fig, err := exp.Fig4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := exp.RenderText(&buf, fig); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/fig4_quick.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(want) {
-		t.Fatalf("fig4 output drifted from golden:\n--- got ---\n%s\n--- want ---\n%s",
-			buf.String(), want)
 	}
 }

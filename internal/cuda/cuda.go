@@ -19,6 +19,7 @@ package cuda
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/hw"
 	"repro/internal/obs"
@@ -121,10 +122,16 @@ func (b *DeviceBuffer) Size() float64 { return b.size }
 // ErrOutOfMemory is returned when a device allocation exceeds capacity.
 var ErrOutOfMemory = errors.New("cuda: out of device memory")
 
+// validSize reports whether size is a finite, non-negative byte count. A
+// NaN would otherwise pass every comparison and poison the accounting.
+func validSize(size float64) bool {
+	return size >= 0 && !math.IsInf(size, 1)
+}
+
 // Malloc allocates size bytes on the device.
 func (d *Device) Malloc(size float64) (*DeviceBuffer, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("cuda: negative allocation %v", size)
+	if !validSize(size) {
+		return nil, fmt.Errorf("cuda: invalid allocation size %v", size)
 	}
 	if size > d.free {
 		return nil, fmt.Errorf("%w: device %d has %.0f free, need %.0f", ErrOutOfMemory, d.id, d.free, size)
@@ -165,8 +172,8 @@ type HostBuffer struct {
 
 // MallocHost allocates pinned host memory.
 func (h *HostAllocator) MallocHost(size float64) (*HostBuffer, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("cuda: negative host allocation %v", size)
+	if !validSize(size) {
+		return nil, fmt.Errorf("cuda: invalid host allocation size %v", size)
 	}
 	h.allocated += size
 	return &HostBuffer{host: h, size: size}, nil

@@ -79,6 +79,29 @@ func TestHostAlloc(t *testing.T) {
 	}
 }
 
+// TestMallocRejectsNonFiniteSizes: a NaN or infinite size must fail
+// without touching the accounting — a NaN subtracted from the free memory
+// would disable out-of-memory detection for good.
+func TestMallocRejectsNonFiniteSizes(t *testing.T) {
+	_, rt := newSynthetic(t)
+	d, h := rt.Device(0), rt.Host(0)
+	free := d.FreeMemory()
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := d.Malloc(size); err == nil {
+			t.Errorf("Malloc(%v) accepted", size)
+		}
+		if _, err := h.MallocHost(size); err == nil {
+			t.Errorf("MallocHost(%v) accepted", size)
+		}
+	}
+	if d.FreeMemory() != free || h.Allocated() != 0 {
+		t.Fatalf("accounting moved: device free %v -> %v, host allocated %v", free, d.FreeMemory(), h.Allocated())
+	}
+	if _, err := d.Malloc(free + 1); err == nil {
+		t.Fatal("over-allocation accepted after non-finite requests")
+	}
+}
+
 func TestMemcpyPeerTiming(t *testing.T) {
 	// Synthetic NVLink: 100 B/s, zero latency. 500 B should take 5 s.
 	s, rt := newSynthetic(t)

@@ -91,24 +91,3 @@ func TestSplitChunksIntoReusesBuffer(t *testing.T) {
 	// Empty destination is a no-op, not a panic.
 	SplitChunksInto(nil, 42)
 }
-
-// TestSplitChunksMatchesEngineSplit pins the dedupe: the eager engine's
-// chunkSizes is the same function, so interpreted, compiled, and patched
-// executions see identical chunk decompositions.
-func TestSplitChunksMatchesEngineSplit(t *testing.T) {
-	for _, tc := range []struct {
-		bytes float64
-		k     int
-	}{{1 << 20, 4}, {12345, 5}, {100, 3}} {
-		a := SplitChunks(tc.bytes, tc.k)
-		b := chunkSizes(tc.bytes, tc.k)
-		if len(a) != len(b) {
-			t.Fatalf("length mismatch: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("chunk %d: %v vs %v", i, a[i], b[i])
-			}
-		}
-	}
-}

@@ -1,8 +1,10 @@
 // Compiled transfer graphs: instead of eagerly enqueuing a plan's
 // stream/event schedule on every Execute, the engine can lower the plan
-// once into a cuda.Graph — the same chunked k-way pipelines, ring-buffer
-// constraints, and cross-stream event edges, captured as an immutable
-// DAG — and replay it per transfer with a single graph launch.
+// once into a cuda.Graph and replay it per transfer with a single graph
+// launch. Compile runs the same lowerPath as Execute on capturing streams,
+// so the graph holds exactly the chunked k-way pipelines, ring-buffer
+// waits and cross-stream event edges that Execute issues, as an immutable
+// DAG.
 //
 // The cost model difference is the point (and mirrors the follow-on
 // paper, "Accelerating Intra-Node GPU-to-GPU Communication Through
@@ -19,28 +21,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cuda"
-	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// compiledBuffer is a staging allocation owned by a compiled path (GPU or
-// host staging ring).
-type compiledBuffer interface{ Free() error }
-
 // compiledPath is the lowered form of one active plan path.
 type compiledPath struct {
-	idx    int // index into plan.Paths
-	group  int // graph completion group
-	chunks int
+	idx   int // index into plan.Paths
+	group int // graph completion group
 	// leg1/leg2 are the copy-node IDs per chunk (leg2 empty for direct
 	// paths, whose single copy lives in leg1[0]). Kept in chunk order so
-	// byte patching walks them deterministically.
+	// byte patching walks them deterministically; len(leg1) is the chunk
+	// count.
 	leg1, leg2 []int
-	// staging ring bookkeeping for reallocation on patch.
-	buf       compiledBuffer
-	slotBytes float64
-	slots     int
+	staging    // kept for reallocation on patch; zero for direct paths
 }
 
 // CompiledPlan is a plan lowered into an instantiated transfer graph.
@@ -63,17 +57,13 @@ func (cp *CompiledPlan) Plan() *core.Plan { return cp.plan }
 func (cp *CompiledPlan) Exec() *cuda.GraphExec { return cp.exec }
 
 // launchOverheadFor derives the per-replay launch cost for a plan: the
-// configured fixed cost when set, otherwise the largest staging
-// synchronization cost ε among the active paths, read from the topology
-// (not the plan's params, which a graph-aware planner zeroes). Eager
-// execution pays ε once per chunk per window and serializes path
-// initiations; a graph replay pays ε exactly once — the launch that
-// submits the whole baked DAG. A direct-only plan has ε = 0 and replays
-// with no added overhead, matching eager execution of the same plan.
+// largest staging synchronization cost ε among the active paths, read from
+// the topology (not the plan's params, which a graph-aware planner zeroes).
+// Eager execution pays ε once per chunk per window and serializes path
+// initiations; a graph replay pays ε exactly once — the launch that submits
+// the whole baked DAG. A direct-only plan has ε = 0 and replays with no
+// added overhead, matching eager execution of the same plan.
 func (e *Engine) launchOverheadFor(plan *core.Plan) float64 {
-	if e.cfg.GraphLaunch > 0 {
-		return e.cfg.GraphLaunch
-	}
 	node := e.rt.Node()
 	worst := 0.0
 	for i := range plan.Paths {
@@ -89,34 +79,50 @@ func (e *Engine) launchOverheadFor(plan *core.Plan) float64 {
 }
 
 // Compile lowers the plan into a transfer graph and instantiates it. The
-// capture reproduces Execute's schedule — per-path streams, the chunked
-// staging pipeline with its ring-buffer waits — minus the eager-only
-// overheads (per-chunk ε delays, sequential path initiation), which the
-// single launch overhead replaces. Staging memory is allocated at compile
-// time and held for the compiled plan's lifetime; call Release to return
-// it.
+// capture issues Execute's schedule through the same lowerPath — per-path
+// streams, the chunked staging pipeline with its ring-buffer waits — minus
+// the eager-only overheads (per-chunk ε delays, sequential path
+// initiation), which the single launch overhead replaces. Staging memory is
+// allocated at compile time and held for the compiled plan's lifetime;
+// call Release to return it.
 func (e *Engine) Compile(plan *core.Plan) (*CompiledPlan, error) {
 	if err := validatePlan(plan); err != nil {
 		return nil, err
 	}
 	g := e.rt.NewGraph()
+	capture := func(dev *cuda.Device, name string) *cuda.Stream {
+		return g.CaptureStream(dev, "graph-"+name)
+	}
 	cp := &CompiledPlan{engine: e, plan: plan}
-	group := 0
 	for i := range plan.Paths {
 		pp := &plan.Paths[i]
 		if pp.Bytes <= 0 {
 			continue
 		}
-		g.StartGroup(group)
-		lowered, err := e.lowerPath(g, pp)
+		lp := compiledPath{idx: i, group: len(cp.paths)}
+		g.StartGroup(lp.group)
+		// A captured copy returns an inert signal; only a copy that cannot
+		// be issued at all (no route) comes back already failed.
+		var issueErr error
+		_, st, err := e.lowerPath(pp, capture, 0, func(leg, _ int, _ float64, sig *sim.Signal, _ bool) {
+			if issueErr == nil {
+				issueErr = sig.Err()
+			}
+			if leg == 1 {
+				lp.leg1 = append(lp.leg1, g.NodeCount()-1)
+			} else {
+				lp.leg2 = append(lp.leg2, g.NodeCount()-1)
+			}
+		})
+		lp.staging = st
+		cp.paths = append(cp.paths, lp)
+		if err == nil {
+			err = issueErr
+		}
 		if err != nil {
 			cp.freeBuffers()
 			return nil, err
 		}
-		lowered.idx = i
-		lowered.group = group
-		cp.paths = append(cp.paths, lowered)
-		group++
 	}
 	if len(cp.paths) == 0 {
 		return nil, fmt.Errorf("pipeline: plan has no active paths")
@@ -137,93 +143,6 @@ func (e *Engine) Compile(plan *core.Plan) (*CompiledPlan, error) {
 	return cp, nil
 }
 
-// lowerPath captures one path's schedule into the graph.
-func (e *Engine) lowerPath(g *cuda.Graph, pp *core.PathPlan) (compiledPath, error) {
-	switch pp.Path.Kind {
-	case hw.Direct:
-		src := e.rt.Device(pp.Path.Src)
-		dst := e.rt.Device(pp.Path.Dst)
-		st := g.CaptureStream(src, "graph-direct")
-		sig := st.MemcpyPeerAsync(dst, pp.Bytes)
-		if err := sig.Err(); err != nil {
-			return compiledPath{}, err
-		}
-		return compiledPath{chunks: 1, leg1: []int{g.NodeCount() - 1}}, nil
-	case hw.GPUStaged:
-		src := e.rt.Device(pp.Path.Src)
-		via := e.rt.Device(pp.Path.Via)
-		dst := e.rt.Device(pp.Path.Dst)
-		s1 := g.CaptureStream(src, "graph-stage-up")
-		s2 := g.CaptureStream(via, "graph-stage-down")
-		return e.lowerStaged(g, pp,
-			func(b float64) *sim.Signal { return s1.MemcpyPeerAsync(via, b) },
-			func(b float64) *sim.Signal { return s2.MemcpyPeerAsync(dst, b) },
-			s1, s2,
-			func(slotBytes float64, slots int) (compiledBuffer, error) {
-				return via.Malloc(slotBytes * float64(slots))
-			})
-	case hw.HostStaged:
-		src := e.rt.Device(pp.Path.Src)
-		dst := e.rt.Device(pp.Path.Dst)
-		numa := pp.Path.Via
-		s1 := g.CaptureStream(src, "graph-host-up")
-		s2 := g.CaptureStream(dst, "graph-host-down")
-		return e.lowerStaged(g, pp,
-			func(b float64) *sim.Signal { return s1.MemcpyToHostAsync(numa, b) },
-			func(b float64) *sim.Signal { return s2.MemcpyFromHostAsync(numa, b) },
-			s1, s2,
-			func(slotBytes float64, slots int) (compiledBuffer, error) {
-				return e.rt.Host(numa).MallocHost(slotBytes * float64(slots))
-			})
-	default:
-		return compiledPath{}, fmt.Errorf("pipeline: unknown path kind %v", pp.Path.Kind)
-	}
-}
-
-// lowerStaged captures the three-step chunk pipeline — the same ring
-// buffer and cross-stream event edges stagedLegs enqueues eagerly — as
-// graph nodes. The per-chunk ε delay is deliberately absent: in a
-// compiled graph the leg-2 dependency is a baked edge, not a runtime
-// synchronization.
-func (e *Engine) lowerStaged(
-	g *cuda.Graph,
-	pp *core.PathPlan,
-	leg1 func(bytes float64) *sim.Signal,
-	leg2 func(bytes float64) *sim.Signal,
-	s1, s2 *cuda.Stream,
-	alloc func(slotBytes float64, slots int) (compiledBuffer, error),
-) (compiledPath, error) {
-	sizes := SplitChunks(pp.Bytes, pp.Chunks)
-	slots := e.cfg.StagingSlots
-	if len(sizes) < slots {
-		slots = len(sizes)
-	}
-	slotBytes := pp.Bytes / float64(len(sizes))
-	buf, err := alloc(slotBytes, slots)
-	if err != nil {
-		return compiledPath{}, fmt.Errorf("pipeline: staging alloc for compiled path %v: %w", pp.Path, err)
-	}
-	out := compiledPath{chunks: len(sizes), buf: buf, slotBytes: slotBytes, slots: slots}
-	drained := make([]*cuda.Event, len(sizes))
-	for c, sz := range sizes {
-		if c >= slots {
-			s1.WaitEvent(drained[c-slots])
-		}
-		if err := leg1(sz).Err(); err != nil {
-			return out, err
-		}
-		out.leg1 = append(out.leg1, g.NodeCount()-1)
-		ev := s1.RecordEvent()
-		s2.WaitEvent(ev)
-		if err := leg2(sz).Err(); err != nil {
-			return out, err
-		}
-		out.leg2 = append(out.leg2, g.NodeCount()-1)
-		drained[c] = s2.RecordEvent()
-	}
-	return out, nil
-}
-
 // ExecuteCompiled replays the compiled graph once and returns a Result
 // with the same shape Execute produces: per-path completion times and
 // errors, and a Done signal firing when the last byte lands. The launch
@@ -240,15 +159,7 @@ func (e *Engine) ExecuteCompiledSpan(cp *CompiledPlan, parent obs.SpanID) (*Resu
 		return nil, fmt.Errorf("pipeline: ExecuteCompiled on a released compiled plan")
 	}
 	s := e.rt.Sim()
-	res := &Result{
-		Plan:     cp.plan,
-		Started:  s.Now(),
-		PathDone: make([]sim.Time, len(cp.plan.Paths)),
-		PathErr:  make([]error, len(cp.plan.Paths)),
-	}
-	for i := range res.PathDone {
-		res.PathDone[i] = -1
-	}
+	res := e.newResult(cp.plan)
 	rep := cp.exec.Launch()
 	for _, lp := range cp.paths {
 		idx := lp.idx
@@ -318,7 +229,7 @@ func (cp *CompiledPlan) UpdateTo(plan *core.Plan) error {
 	for pi := range cp.paths {
 		lp := &cp.paths[pi]
 		pp := &plan.Paths[lp.idx]
-		sizes := SplitChunks(pp.Bytes, lp.chunks)
+		sizes := SplitChunks(pp.Bytes, len(lp.leg1))
 		for c, id := range lp.leg1 {
 			nodes = append(nodes, id)
 			bytes = append(bytes, sizes[c])
@@ -328,7 +239,7 @@ func (cp *CompiledPlan) UpdateTo(plan *core.Plan) error {
 			bytes = append(bytes, sizes[c])
 		}
 		if lp.buf != nil {
-			if slot := pp.Bytes / float64(lp.chunks); slot > lp.slotBytes {
+			if slot := pp.Bytes / float64(len(sizes)); slot > lp.slotBytes {
 				if err := cp.reallocStaging(lp, pp, slot); err != nil {
 					return err
 				}
@@ -350,21 +261,11 @@ func (cp *CompiledPlan) reallocStaging(lp *compiledPath, pp *core.PathPlan, slot
 	if err := lp.buf.Free(); err != nil {
 		return err
 	}
-	var buf compiledBuffer
-	var err error
-	switch pp.Path.Kind {
-	case hw.GPUStaged:
-		buf, err = cp.engine.rt.Device(pp.Path.Via).Malloc(slotBytes * float64(lp.slots))
-	case hw.HostStaged:
-		buf, err = cp.engine.rt.Host(pp.Path.Via).MallocHost(slotBytes * float64(lp.slots))
-	default:
-		return fmt.Errorf("pipeline: staging realloc on non-staged path %v", pp.Path)
-	}
+	st, err := cp.engine.allocStaging(pp.Path, slotBytes, lp.slots)
 	if err != nil {
 		return err
 	}
-	lp.buf = buf
-	lp.slotBytes = slotBytes
+	lp.staging = st
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cuda"
+	"repro/internal/hw"
 	"repro/internal/sim"
 )
 
@@ -66,16 +69,31 @@ func TestCompiledStagedSkipsPerChunkEpsilon(t *testing.T) {
 	almost(t, res.PathDone[0]-res.Started, 5.0, 1e-9, "per-path completion wired")
 }
 
-func TestCompiledLaunchOverrideCharged(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.GraphLaunch = 0.5
-	s, e := syntheticEngine(t, cfg)
-	cp, err := e.Compile(manualPlan(400, directPlanPath(0, 1, 400)))
+// TestCompiledLaunchOverheadDerived pins the replay's launch overhead to
+// the largest topology ε among the plan's active paths: a Beluga 2-GPU
+// plan at 32 MiB uses its GPU-staged path, so it pays the GPU staging
+// synchronization cost once per replay.
+func TestCompiledLaunchOverheadDerived(t *testing.T) {
+	pl := modelPlan(t, hw.Beluga, hw.TwoGPUs, 32*hw.MiB)
+	_, e := presetEngine(t, hw.Beluga, DefaultConfig())
+	node := e.Runtime().Node()
+	want := 0.0
+	for _, pp := range pl.Paths {
+		if pp.Bytes > 0 {
+			want = math.Max(want, node.Epsilon(pp.Path))
+		}
+	}
+	if want != 3e-6 {
+		t.Fatalf("largest active-path ε = %v, want 3µs", want)
+	}
+	cp, err := e.Compile(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Release()
-	almost(t, runCompiled(t, s, e, cp).Elapsed(), 4.5, 1e-9, "configured launch overhead")
+	if got := cp.Exec().LaunchOverhead(); got != want {
+		t.Fatalf("launch overhead %v, want %v", got, want)
+	}
 }
 
 // TestPatchedReplayMatchesFreshCompile is the GraphExecUpdate acceptance
@@ -218,5 +236,119 @@ func TestCompileRejectsInvalidPlans(t *testing.T) {
 	}
 	if _, err := e.Compile(manualPlan(0, directPlanPath(0, 1, 0))); err == nil {
 		t.Error("plan with no active bytes compiled")
+	}
+}
+
+// presetEngine builds a fresh engine on a preset topology.
+func presetEngine(t *testing.T, mk func() *hw.Spec, cfg Config) (*sim.Simulator, *Engine) {
+	t.Helper()
+	s := sim.New()
+	node, err := hw.Build(s, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, New(cuda.NewRuntime(node), cfg)
+}
+
+// modelPlan plans an n-byte GPU 0 → 1 transfer with the paper's model.
+func modelPlan(t *testing.T, mk func() *hw.Spec, ps hw.PathSet, n float64) *core.Plan {
+	t.Helper()
+	_, e := presetEngine(t, mk, DefaultConfig())
+	node := e.Runtime().Node()
+	paths, err := node.Spec.EnumeratePaths(0, 1, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := core.NewModel(core.SpecSource{Node: node}, core.DefaultOptions()).PlanTransfer(paths, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestCompiledMatchesEagerPerPath checks that both engines issue the same
+// schedule: with ε zeroed and all paths initiated at once, the only
+// difference left is the replay's one launch overhead, so every path
+// completes at the same offset after it.
+func TestCompiledMatchesEagerPerPath(t *testing.T) {
+	pathSets := []struct {
+		name string
+		ps   hw.PathSet
+	}{
+		{"direct", hw.DirectOnly}, {"2gpus", hw.TwoGPUs}, {"3gpus", hw.ThreeGPUs},
+		{"3gpus_host", hw.ThreeGPUsWithHost}, {"all", hw.AllPaths},
+	}
+	for _, cluster := range []string{"beluga", "narval"} {
+		mk := hw.Presets[cluster]
+		for _, ps := range pathSets {
+			for _, slots := range []int{1, 2} {
+				for _, n := range []float64{2 * hw.MiB, 32 * hw.MiB, 256 * hw.MiB} {
+					pl := modelPlan(t, mk, ps.ps, n)
+					for i := range pl.Paths {
+						pl.Paths[i].Param.Eps = 0
+					}
+					cfg := Config{StagingSlots: slots}
+
+					s, e := presetEngine(t, mk, cfg)
+					eager := run(t, s, e, pl)
+
+					s, e = presetEngine(t, mk, cfg)
+					cp, err := e.Compile(pl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compiled := runCompiled(t, s, e, cp)
+					overhead := cp.Exec().LaunchOverhead()
+					cp.Release()
+
+					for i := range pl.Paths {
+						if pl.Paths[i].Bytes <= 0 {
+							continue
+						}
+						want := eager.PathDone[i] - eager.Started
+						got := compiled.PathDone[i] - compiled.Started - overhead
+						if (overhead == 0 && got != want) || math.Abs(got-want) > 1e-12*want {
+							t.Errorf("%s/%s slots=%d %v path %d (%v): compiled %v, eager %v (overhead %v)",
+								cluster, ps.name, slots, n, i, pl.Paths[i].Path, got, want, overhead)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestZeroChunkStagedPlanRunsAsOneChunk: a staged path with Chunks: 0 (a
+// custom planner can produce one) moves its share as a single chunk on
+// both engines, and its staging ring is sized for that chunk, leaving the
+// staging GPU's memory accounting intact.
+func TestZeroChunkStagedPlanRunsAsOneChunk(t *testing.T) {
+	plan := func(chunks int) *core.Plan {
+		return manualPlan(400, stagedPlanPath(0, 2, 1, 400, chunks, 0))
+	}
+	elapsed := func(chunks int, compiled bool) float64 {
+		s, e := syntheticEngine(t, DefaultConfig())
+		via := e.Runtime().Device(2)
+		before := via.FreeMemory()
+		var res *Result
+		if compiled {
+			cp, err := e.Compile(plan(chunks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = runCompiled(t, s, e, cp)
+			cp.Release()
+		} else {
+			res = run(t, s, e, plan(chunks))
+		}
+		if after := via.FreeMemory(); after != before {
+			t.Fatalf("chunks=%d compiled=%v: staging GPU free memory %v -> %v", chunks, compiled, before, after)
+		}
+		return res.Elapsed()
+	}
+	for _, compiled := range []bool{false, true} {
+		if got, want := elapsed(0, compiled), elapsed(1, compiled); got != want {
+			t.Errorf("compiled=%v: Chunks 0 took %v, Chunks 1 took %v", compiled, got, want)
+		}
 	}
 }

@@ -16,6 +16,10 @@
 // Paths are initiated sequentially by the issuing CPU thread; each path's
 // initiation occupies the CPU for the first leg's launch latency, which is
 // why Algorithm 1 accumulates earlier paths' α into later paths' Δ.
+//
+// One lowering, lowerPath, issues a path's streams, copies and event
+// waits. Execute runs it on live streams with the per-chunk ε delay;
+// Compile runs it on capturing streams without it (see compile.go).
 package pipeline
 
 import (
@@ -43,10 +47,6 @@ type Config struct {
 	// SequentialInitiation serializes path launches on the issuing CPU
 	// (matches Algorithm 1 line 18). Disabling it is an ablation.
 	SequentialInitiation bool
-	// GraphLaunch fixes the per-replay launch overhead charged by compiled
-	// transfer graphs. Zero (the default) derives it from the plan: the
-	// largest first-leg launch latency α among the active paths.
-	GraphLaunch float64
 }
 
 // DefaultConfig returns the runtime configuration.
@@ -121,6 +121,21 @@ func (r *Result) Bandwidth() float64 {
 	return r.Plan.Bytes / el
 }
 
+// newResult starts tracking plan at the current instant with every path
+// still pending.
+func (e *Engine) newResult(plan *core.Plan) *Result {
+	res := &Result{
+		Plan:     plan,
+		Started:  e.rt.Sim().Now(),
+		PathDone: make([]sim.Time, len(plan.Paths)),
+		PathErr:  make([]error, len(plan.Paths)),
+	}
+	for i := range res.PathDone {
+		res.PathDone[i] = -1
+	}
+	return res
+}
+
 // validatePlan applies the shared sanity checks of Execute and Compile.
 func validatePlan(plan *core.Plan) error {
 	if plan == nil || len(plan.Paths) == 0 {
@@ -146,15 +161,7 @@ func (e *Engine) ExecuteSpan(plan *core.Plan, parent obs.SpanID) (*Result, error
 		return nil, err
 	}
 	s := e.rt.Sim()
-	res := &Result{
-		Plan:     plan,
-		Started:  s.Now(),
-		PathDone: make([]sim.Time, len(plan.Paths)),
-		PathErr:  make([]error, len(plan.Paths)),
-	}
-	for i := range res.PathDone {
-		res.PathDone[i] = -1
-	}
+	res := e.newResult(plan)
 
 	var finals []*sim.Signal
 	offset := 0.0
@@ -171,24 +178,7 @@ func (e *Engine) ExecuteSpan(plan *core.Plan, parent obs.SpanID) (*Result, error
 		})
 		finals = append(finals, final)
 
-		start := func(pp *core.PathPlan, final *sim.Signal) func() {
-			return func() {
-				if e.tr != nil {
-					sp := e.tr.Begin("path:"+pp.Path.String(), "path", pp.Path.Kind.String(), parent,
-						obs.KVf("bytes", pp.Bytes), obs.KVi("chunks", int64(pp.Chunks)))
-					final.OnFire(func() {
-						if err := final.Err(); err != nil {
-							e.tr.EndWith(sp, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
-							return
-						}
-						e.tr.EndWith(sp, obs.KV("outcome", "ok"))
-					})
-				}
-				if err := e.startPath(pp, final); err != nil {
-					final.Fail(err)
-				}
-			}
-		}(pp, final)
+		start := func() { e.startPath(pp, final, parent) }
 
 		if e.cfg.SequentialInitiation {
 			s.Schedule(offset, start)
@@ -204,93 +194,47 @@ func (e *Engine) ExecuteSpan(plan *core.Plan, parent obs.SpanID) (*Result, error
 	return res, nil
 }
 
-// startPath launches the per-path schedule; final fires when the path's
-// last chunk reaches the destination.
-func (e *Engine) startPath(pp *core.PathPlan, final *sim.Signal) error {
-	switch pp.Path.Kind {
-	case hw.Direct:
-		return e.startDirect(pp, final)
-	case hw.GPUStaged:
-		return e.startGPUStaged(pp, final)
-	case hw.HostStaged:
-		return e.startHostStaged(pp, final)
-	default:
-		return fmt.Errorf("pipeline: unknown path kind %v", pp.Path.Kind)
-	}
-}
-
-func (e *Engine) startDirect(pp *core.PathPlan, final *sim.Signal) error {
-	src := e.rt.Device(pp.Path.Src)
-	dst := e.rt.Device(pp.Path.Dst)
-	st := src.NewStream("direct")
-	sig := st.MemcpyPeerAsync(dst, pp.Bytes)
-	sig.OnFire(func() {
-		if sig.Err() != nil {
-			final.Fail(sig.Err())
-			return
-		}
-		final.Fire()
-	})
-	return nil
-}
-
-// chunkSizes splits bytes into k near-equal pieces; it is the engine's
-// view of the shared SplitChunks partition helper.
-func chunkSizes(bytes float64, k int) []float64 {
-	return SplitChunks(bytes, k)
-}
-
-// stagedLegs wires the three-step chunk pipeline between two streams with
-// the ring-buffer constraint and fires final when the last chunk lands.
-func (e *Engine) stagedLegs(
-	leg1 func(st *cuda.Stream, bytes float64) *sim.Signal,
-	leg2 func(st *cuda.Stream, bytes float64) *sim.Signal,
-	s1, s2 *cuda.Stream,
-	pp *core.PathPlan,
-	final *sim.Signal,
-) {
-	sizes := chunkSizes(pp.Bytes, pp.Chunks)
-	eps := pp.Param.Eps
-	slots := e.cfg.StagingSlots
-	drained := make([]*cuda.Event, len(sizes))
-	// Any chunk copy failing on either leg fails the path: the simulator
-	// has no notion of the data a chunk carried, so a lost first-leg chunk
-	// cannot be silently "made up" by the second leg completing.
-	watch := func(sig *sim.Signal) {
-		sig.OnFire(func() {
-			if sig.Err() != nil {
-				final.Fail(sig.Err())
+// startPath issues one path on live streams; final fires when the path's
+// last chunk reaches the destination, or fails with its first failed copy.
+func (e *Engine) startPath(pp *core.PathPlan, final *sim.Signal, parent obs.SpanID) {
+	var trk string
+	if e.tr != nil {
+		trk = "path:" + pp.Path.String()
+		sp := e.tr.Begin(trk, "path", pp.Path.Kind.String(), parent,
+			obs.KVf("bytes", pp.Bytes), obs.KVi("chunks", int64(pp.Chunks)))
+		final.OnFire(func() {
+			if err := final.Err(); err != nil {
+				e.tr.EndWith(sp, obs.KV("outcome", "error"), obs.KV("error", err.Error()))
+				return
 			}
+			e.tr.EndWith(sp, obs.KV("outcome", "ok"))
 		})
 	}
-	trk := "path:" + pp.Path.String()
-	var last *sim.Signal
-	for c, sz := range sizes {
-		// Ring buffer: reuse slot c mod slots — wait until the chunk that
-		// previously occupied it has been drained by the second leg.
-		if c >= slots {
-			s1.WaitEvent(drained[c-slots])
-		}
-		watch(leg1(s1, sz))
-		ev := s1.RecordEvent()
-		s2.WaitEvent(ev)
-		if eps > 0 {
-			s2.Delay(eps) // step 2: staging synchronization cost ε
-		}
-		down := leg2(s2, sz)
-		if c < len(sizes)-1 {
-			watch(down)
-		}
-		if e.tr != nil {
-			down.OnFire(func() {
-				if down.Err() == nil {
-					e.tr.Instant(trk, "chunk", "chunk-done",
-						obs.KVi("index", int64(c)), obs.KVf("bytes", sz))
-				}
-			})
-		}
-		drained[c] = s2.RecordEvent()
-		last = down
+	last, st, err := e.lowerPath(pp, (*cuda.Device).NewStream, pp.Param.Eps,
+		func(leg, chunk int, bytes float64, sig *sim.Signal, isLast bool) {
+			// Any chunk copy failing on either leg fails the path: the
+			// simulator has no notion of the data a chunk carried, so a lost
+			// first-leg chunk cannot be silently "made up" by the second leg
+			// completing.
+			if !isLast {
+				sig.OnFire(func() {
+					if sig.Err() != nil {
+						final.Fail(sig.Err())
+					}
+				})
+			}
+			if leg == 2 && e.tr != nil {
+				sig.OnFire(func() {
+					if sig.Err() == nil {
+						e.tr.Instant(trk, "chunk", "chunk-done",
+							obs.KVi("index", int64(chunk)), obs.KVf("bytes", bytes))
+					}
+				})
+			}
+		})
+	if err != nil {
+		final.Fail(err)
+		return
 	}
 	last.OnFire(func() {
 		if last.Err() != nil {
@@ -299,55 +243,100 @@ func (e *Engine) stagedLegs(
 		}
 		final.Fire()
 	})
+	if st.buf != nil {
+		// final fires once, so this is the ring's only Free: it cannot fail.
+		final.OnFire(func() { _ = st.buf.Free() })
+	}
 }
 
-func (e *Engine) startGPUStaged(pp *core.PathPlan, final *sim.Signal) error {
-	src := e.rt.Device(pp.Path.Src)
-	via := e.rt.Device(pp.Path.Via)
-	dst := e.rt.Device(pp.Path.Dst)
-
-	// Staging ring buffer on the intermediate GPU.
-	chunk := pp.Bytes / float64(pp.Chunks)
-	slots := e.cfg.StagingSlots
-	if pp.Chunks < slots {
-		slots = pp.Chunks
-	}
-	buf, err := via.Malloc(chunk * float64(slots))
-	if err != nil {
-		return fmt.Errorf("pipeline: staging alloc on GPU %d: %w", via.ID(), err)
-	}
-	s1 := src.NewStream("stage-up")
-	s2 := via.NewStream("stage-down")
-	e.stagedLegs(
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(via, b) },
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(dst, b) },
-		s1, s2, pp, final,
-	)
-	final.OnFire(func() { _ = buf.Free() })
-	return nil
+// staging is a staged path's ring buffer: slots slots of slotBytes each.
+type staging struct {
+	buf       interface{ Free() error } // nil for direct paths
+	slotBytes float64
+	slots     int
 }
 
-func (e *Engine) startHostStaged(pp *core.PathPlan, final *sim.Signal) error {
+// allocStaging allocates a staged path's ring of slots slots of slotBytes
+// each: on the intermediate GPU, or in pinned host memory of the path's
+// NUMA domain.
+func (e *Engine) allocStaging(p hw.Path, slotBytes float64, slots int) (staging, error) {
+	st := staging{slotBytes: slotBytes, slots: slots}
+	size := slotBytes * float64(slots)
+	if p.Kind == hw.HostStaged {
+		buf, err := e.rt.Host(p.Via).MallocHost(size)
+		if err != nil {
+			return staging{}, fmt.Errorf("pipeline: host staging alloc on NUMA %d: %w", p.Via, err)
+		}
+		st.buf = buf
+		return st, nil
+	}
+	buf, err := e.rt.Device(p.Via).Malloc(size)
+	if err != nil {
+		return staging{}, fmt.Errorf("pipeline: staging alloc on GPU %d: %w", p.Via, err)
+	}
+	st.buf = buf
+	return st, nil
+}
+
+// lowerPath issues one path's schedule on streams made by newStream and
+// returns the path's last copy. A direct path is one copy. A staged path
+// allocates its staging ring and pipelines its chunks through it, two
+// streams ordered by events: per chunk, copy in on the first stream (after
+// the chunk that last held the slot has drained), make the second stream
+// wait for it, delay eps (the staging synchronization ε), copy out.
+// onCopy runs right after each copy is issued, with leg 1 for the copy in
+// (or a direct path's copy), leg 2 for the copy out, and isLast for the
+// path's final copy.
+func (e *Engine) lowerPath(
+	pp *core.PathPlan,
+	newStream func(dev *cuda.Device, name string) *cuda.Stream,
+	eps float64,
+	onCopy func(leg, chunk int, bytes float64, sig *sim.Signal, isLast bool),
+) (*sim.Signal, staging, error) {
 	src := e.rt.Device(pp.Path.Src)
 	dst := e.rt.Device(pp.Path.Dst)
-	numa := pp.Path.Via
+	var s1, s2 *cuda.Stream
+	var leg1, leg2 func(st *cuda.Stream, bytes float64) *sim.Signal
+	switch pp.Path.Kind {
+	case hw.Direct:
+		sig := newStream(src, "direct").MemcpyPeerAsync(dst, pp.Bytes)
+		onCopy(1, 0, pp.Bytes, sig, true)
+		return sig, staging{}, nil
+	case hw.GPUStaged:
+		via := e.rt.Device(pp.Path.Via)
+		s1, s2 = newStream(src, "stage-up"), newStream(via, "stage-down")
+		leg1 = func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(via, b) }
+		leg2 = func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyPeerAsync(dst, b) }
+	case hw.HostStaged:
+		numa := pp.Path.Via
+		s1, s2 = newStream(src, "host-up"), newStream(dst, "host-down")
+		leg1 = func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyToHostAsync(numa, b) }
+		leg2 = func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyFromHostAsync(numa, b) }
+	default:
+		return nil, staging{}, fmt.Errorf("pipeline: unknown path kind %v", pp.Path.Kind)
+	}
 
-	chunk := pp.Bytes / float64(pp.Chunks)
-	slots := e.cfg.StagingSlots
-	if pp.Chunks < slots {
-		slots = pp.Chunks
-	}
-	buf, err := e.rt.Host(numa).MallocHost(chunk * float64(slots))
+	sizes := SplitChunks(pp.Bytes, pp.Chunks)
+	st, err := e.allocStaging(pp.Path, pp.Bytes/float64(len(sizes)), min(e.cfg.StagingSlots, len(sizes)))
 	if err != nil {
-		return fmt.Errorf("pipeline: host staging alloc on NUMA %d: %w", numa, err)
+		return nil, staging{}, err
 	}
-	s1 := src.NewStream("host-up")
-	s2 := dst.NewStream("host-down")
-	e.stagedLegs(
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyToHostAsync(numa, b) },
-		func(st *cuda.Stream, b float64) *sim.Signal { return st.MemcpyFromHostAsync(numa, b) },
-		s1, s2, pp, final,
-	)
-	final.OnFire(func() { _ = buf.Free() })
-	return nil
+	drained := make([]*cuda.Event, len(sizes))
+	var last *sim.Signal
+	for c, sz := range sizes {
+		// Ring buffer: reuse slot c mod slots — wait until the chunk that
+		// previously occupied it has been drained by the second leg.
+		if c >= st.slots {
+			s1.WaitEvent(drained[c-st.slots])
+		}
+		onCopy(1, c, sz, leg1(s1, sz), false)
+		s2.WaitEvent(s1.RecordEvent())
+		if eps > 0 {
+			s2.Delay(eps) // step 2: staging synchronization cost ε
+		}
+		last = leg2(s2, sz)
+		onCopy(2, c, sz, last, c == len(sizes)-1)
+		drained[c] = s2.RecordEvent()
+	}
+	return last, st, nil
 }

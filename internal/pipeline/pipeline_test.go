@@ -214,7 +214,7 @@ func TestChunkSizesPartition(t *testing.T) {
 		bytes float64
 		k     int
 	}{{100, 1}, {100, 3}, {1 << 20, 7}, {12345, 5}} {
-		sizes := chunkSizes(tc.bytes, tc.k)
+		sizes := SplitChunks(tc.bytes, tc.k)
 		if len(sizes) != tc.k {
 			t.Fatalf("k=%d: got %d chunks", tc.k, len(sizes))
 		}
@@ -315,5 +315,34 @@ func TestMultiPathSpeedupShape(t *testing.T) {
 	}
 	if sp := four / direct; sp < 2.5 || sp > 3.4 {
 		t.Errorf("4-path speedup %.2fx outside expected band", sp)
+	}
+}
+
+// TestEagerExecuteAllocCeiling pins the eager engine's host allocations for
+// one 2-path transfer (direct + one GPU-staged path) from Execute through
+// the simulation draining it. Lower the ceiling when a change trims them.
+func TestEagerExecuteAllocCeiling(t *testing.T) {
+	const ceiling = 539
+	pl := modelPlan(t, hw.Beluga, hw.TwoGPUs, 64*hw.MiB)
+	active := 0
+	for _, pp := range pl.Paths {
+		if pp.Bytes > 0 {
+			active++
+		}
+	}
+	if active != 2 {
+		t.Fatalf("plan has %d active paths, want 2", active)
+	}
+	s, e := presetEngine(t, hw.Beluga, DefaultConfig())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Execute(pl); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("eager Execute+Run allocates %v times, ceiling %d", allocs, ceiling)
 	}
 }

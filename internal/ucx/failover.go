@@ -57,6 +57,11 @@ const (
 	// per-chunk latency amortized, while slow paths still get small byte
 	// counts and cannot become tail stragglers.
 	minChunkTime = 10e-6
+	// failoverBackoff is the delay (simulated seconds) before the first
+	// retry; each subsequent attempt doubles it up to failoverBackoffCap.
+	failoverBackoff = 20.0e-6
+	// failoverBackoffCap bounds the exponential retry backoff.
+	failoverBackoffCap = 2.0e-3
 )
 
 // mpRun is the state of one multi-path transfer across attempts and
@@ -288,13 +293,11 @@ func (r *mpRun) noteFailover(newExcl int) {
 // current attempt, pausing launches until it runs.
 func (r *mpRun) backoffThen(fn func()) {
 	c := r.c
-	backoff := c.cfg.FailoverBackoff
+	backoff := failoverBackoff
 	for a := 1; a < r.attempt; a++ {
 		backoff *= 2
 	}
-	if cap := c.cfg.FailoverBackoffCap; cap > 0 && backoff > cap {
-		backoff = cap
-	}
+	backoff = min(backoff, failoverBackoffCap)
 	sp := obs.NoSpan
 	if tr := c.tracer; tr != nil {
 		sp = tr.Begin(r.trk, "failover", "backoff", r.span,

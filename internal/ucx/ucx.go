@@ -44,8 +44,6 @@ type Config struct {
 	RndvThreshold float64
 	// RndvOverhead is the control-message (RTS/ATS) round-trip cost.
 	RndvOverhead float64
-	// EagerOverhead is the per-message cost of the eager protocol.
-	EagerOverhead float64
 	// IpcOpenCost is the one-time cudaIpcOpenMemHandle cost per GPU pair,
 	// amortized by the translation cache.
 	IpcOpenCost float64
@@ -80,11 +78,6 @@ type Config struct {
 	// FailoverMaxRetries caps consecutive failed attempts per transfer
 	// before the failure is surfaced.
 	FailoverMaxRetries int
-	// FailoverBackoff is the delay (simulated seconds) before the first
-	// retry; each subsequent attempt doubles it up to FailoverBackoffCap.
-	FailoverBackoff float64
-	// FailoverBackoffCap bounds the exponential retry backoff.
-	FailoverBackoffCap float64
 	// AdaptSegments splits large rendezvous transfers into this many
 	// sequentially planned segments, each planned against current link
 	// state — a mid-transfer degradation is picked up at the next segment
@@ -135,15 +128,12 @@ func DefaultConfig() Config {
 		PathSet:              "all",
 		RndvThreshold:        64 * hw.KiB,
 		RndvOverhead:         3.0e-6,
-		EagerOverhead:        1.0e-6,
 		IpcOpenCost:          30.0e-6,
 		ModelOptions:         core.DefaultOptions(),
 		EngineConfig:         pipeline.DefaultConfig(),
 		PatternAwareMinBytes: 24 * hw.MiB,
 		FailoverEnable:       true,
 		FailoverMaxRetries:   3,
-		FailoverBackoff:      20.0e-6,
-		FailoverBackoffCap:   2.0e-3,
 		AdaptSegments:        1,
 		AdaptMinBytes:        16 * hw.MiB,
 	}
@@ -590,6 +580,10 @@ func (ep *Endpoint) put(bytes float64, concurrent [][2]int) (*Request, error) {
 	return ep.multiPath(req, bytes, setup, concurrent)
 }
 
+// eagerOverhead is the per-message cost of the eager protocol (messages
+// below the rendezvous threshold).
+const eagerOverhead = 1.0e-6
+
 // singlePath issues the transfer on the direct link only (the default
 // cuda_ipc behaviour).
 func (ep *Endpoint) singlePath(req *Request, bytes, setup float64) (*Request, error) {
@@ -597,7 +591,7 @@ func (ep *Endpoint) singlePath(req *Request, bytes, setup float64) (*Request, er
 	s := c.rt.Sim()
 	overhead := setup
 	if bytes < c.cfg.RndvThreshold {
-		overhead += c.cfg.EagerOverhead
+		overhead += eagerOverhead
 	} else {
 		overhead += c.cfg.RndvOverhead
 	}
