@@ -56,19 +56,19 @@ bench:
 # seed string-key design, then the concurrent throughput sweep.
 bench-planner:
 	$(GO) test -bench 'BenchmarkPlanCacheHit' -benchmem -run xxx .
-	$(GO) run ./cmd/mpbench -exp plancache -planner-json BENCH_planner.json
+	$(GO) run ./cmd/mpbench -exp plancache -json BENCH_planner.json
 
 # bench-faults runs the fault-adaptation sweep (mid-transfer link
 # degradation and permanent failure, adaptive runtime vs plan-once
 # baseline) and regenerates BENCH_faults.json.
 bench-faults:
-	$(GO) run ./cmd/mpbench -exp faults -faults-json BENCH_faults.json
+	$(GO) run ./cmd/mpbench -exp faults -json BENCH_faults.json
 
 # bench-graphs compares the eager (interpreted) engine against compiled
 # transfer-graph replay over sizes x windows x clusters and regenerates
 # BENCH_graphs.json, including the O(1) launch-cost ladder.
 bench-graphs:
-	$(GO) run ./cmd/mpbench -exp graphs -clusters beluga,narval -windows 1,16 -iters 3 -graphs-json BENCH_graphs.json
+	$(GO) run ./cmd/mpbench -exp graphs -clusters beluga,narval -windows 1,16 -iters 3 -json BENCH_graphs.json
 
 # bench-obs measures the observability layer's cost (the same Put workload
 # with UCX_MP_TRACE off vs on) and regenerates BENCH_obs.json, plus the
@@ -76,7 +76,7 @@ bench-graphs:
 bench-obs:
 	$(GO) test -bench 'BenchmarkPlanCacheHit$$' -benchmem -run xxx .
 	$(GO) test -bench 'BenchmarkFluidChurn' -benchmem -run xxx ./internal/fluid/
-	$(GO) run ./cmd/mpbench -exp obs -clusters beluga,narval -obs-json BENCH_obs.json
+	$(GO) run ./cmd/mpbench -exp obs -clusters beluga,narval -json BENCH_obs.json
 
 # bench-shard measures the sharded parallel engine against the fused
 # sequential baseline on an 8-node fleet, plus the single-component
@@ -84,7 +84,7 @@ bench-obs:
 # BENCH_shard.json. Checksums across all configurations are asserted
 # equal — the run fails on any determinism violation.
 bench-shard:
-	$(GO) run ./cmd/mpbench -exp shard -shard-json BENCH_shard.json
+	$(GO) run ./cmd/mpbench -exp shard -json BENCH_shard.json
 
 # bench-serve load-tests the mpserve daemon stack (registry + v1 HTTP API
 # + TCP fast path) over real loopback sockets — >=1M mixed-size plan
@@ -92,4 +92,4 @@ bench-shard:
 # BENCH_serve.json with plans/sec and latency percentiles per wire
 # series, including the batch-vs-single speedup at batch size 1024.
 bench-serve:
-	$(GO) run ./cmd/mpbench -exp serve -serve-json BENCH_serve.json
+	$(GO) run ./cmd/mpbench -exp serve -json BENCH_serve.json

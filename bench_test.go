@@ -528,7 +528,7 @@ func BenchmarkEndToEndTransfer(b *testing.B) {
 
 // BenchmarkParallelSweep measures the experiment grid with the sequential
 // and pooled runners on an identical multi-panel workload. The sub-bench
-// ratio is the wall-clock payoff of `mpbench -parallel`; on a single-CPU
+// ratio is the wall-clock payoff of `mpbench -workers 0`; on a single-CPU
 // machine the two converge (the pool adds only scheduling noise), while on
 // N CPUs the parallel variant approaches N× on this embarrassingly
 // parallel grid.

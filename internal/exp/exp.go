@@ -89,8 +89,8 @@ type Options struct {
 	// changes. 0 or 1 means sequential.
 	Workers int
 	// Shards overrides the fleet shard count for the shard experiment
-	// (0 = one shard per node). mpbench seeds it from UCX_MP_SHARDS /
-	// -shards; results are byte-identical for every value by construction.
+	// (0 = one shard per node); mpbench sets it with -shards. Results are
+	// byte-identical for every value by construction.
 	Shards int
 	// ServePlans floors the per-series plan-query volume of the serve
 	// experiment (0 = the full ≥1M replay); mpbench -quick shrinks it so

@@ -62,6 +62,9 @@ const (
 	failoverBackoff = 20.0e-6
 	// failoverBackoffCap bounds the exponential retry backoff.
 	failoverBackoffCap = 2.0e-3
+	// failoverMaxRetries caps consecutive failed attempts per transfer
+	// before the failure is surfaced.
+	failoverMaxRetries = 3
 )
 
 // mpRun is the state of one multi-path transfer across attempts and
@@ -241,7 +244,7 @@ func (r *mpRun) onAttemptResult(pl *core.Plan, res *pipeline.Result) {
 		r.finish(fatal)
 		return
 	}
-	if !c.cfg.FailoverEnable || r.attempt >= c.cfg.FailoverMaxRetries {
+	if !c.cfg.FailoverEnable || r.attempt >= failoverMaxRetries {
 		r.finish(res.Done.Err())
 		return
 	}
@@ -525,7 +528,7 @@ func (r *mpRun) settleChunks() {
 	if err == nil {
 		err = fmt.Errorf("no paths left with %v bytes undelivered", r.pool())
 	}
-	if r.attempt >= r.c.cfg.FailoverMaxRetries {
+	if r.attempt >= failoverMaxRetries {
 		r.finish(err)
 		return
 	}

@@ -313,7 +313,6 @@ func TestFailoverStressRace(t *testing.T) {
 func TestParseConfigFaultKeys(t *testing.T) {
 	cfg, err := ParseConfig(map[string]string{
 		"UCX_MP_FAILOVER":        "n",
-		"UCX_MP_MAX_RETRIES":     "5",
 		"UCX_MP_ADAPT_SEGMENTS":  "8",
 		"UCX_MP_ADAPT_MIN_BYTES": "4194304",
 		"UCX_MP_RECALIBRATE":     "y",
@@ -323,9 +322,6 @@ func TestParseConfigFaultKeys(t *testing.T) {
 	}
 	if cfg.FailoverEnable {
 		t.Error("failover not parsed")
-	}
-	if cfg.FailoverMaxRetries != 5 {
-		t.Error("max retries not parsed")
 	}
 	if cfg.AdaptSegments != 8 {
 		t.Error("segments not parsed")
@@ -344,16 +340,19 @@ func TestParseConfigRejectsBadValues(t *testing.T) {
 		{"UCX_MP_PATHS": "5gpus"},
 		{"UCX_RNDV_THRESH": "-1"},
 		{"UCX_RNDV_THRESH": "lots"},
+		{"UCX_RNDV_THRESH": "NaN"},
+		{"UCX_RNDV_THRESH": "+Inf"},
+		{"UCX_RNDV_THRESH": "1e400"},
 		{"UCX_MP_MAX_CHUNKS": "0"},
 		{"UCX_MP_PIPELINING": "2"},
 		{"UCX_MP_BIDIR_AWARE": ""},
 		{"UCX_MP_ADAPTIVE_PHI": "x"},
 		{"UCX_MP_LOAD_AWARE": "x"},
 		{"UCX_MP_FAILOVER": "x"},
-		{"UCX_MP_MAX_RETRIES": "-1"},
-		{"UCX_MP_MAX_RETRIES": "three"},
 		{"UCX_MP_ADAPT_SEGMENTS": "0"},
 		{"UCX_MP_ADAPT_MIN_BYTES": "-5"},
+		{"UCX_MP_ADAPT_MIN_BYTES": "nan"},
+		{"UCX_MP_ADAPT_MIN_BYTES": "-Inf"},
 		{"UCX_MP_RECALIBRATE": "7"},
 		{"UCX_NOT_A_KEY": "1"},
 	}

@@ -18,6 +18,7 @@ package ucx
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,9 +76,6 @@ type Config struct {
 	// down, staging memory exhaustion), the transfer is re-planned with the
 	// failed path excluded and the undelivered bytes are retried.
 	FailoverEnable bool
-	// FailoverMaxRetries caps consecutive failed attempts per transfer
-	// before the failure is surfaced.
-	FailoverMaxRetries int
 	// AdaptSegments splits large rendezvous transfers into this many
 	// sequentially planned segments, each planned against current link
 	// state — a mid-transfer degradation is picked up at the next segment
@@ -106,12 +104,6 @@ type Config struct {
 	// plus a metrics registry, exportable as a Perfetto trace and a JSON
 	// snapshot. Off by default; disabled cost is one nil check per hook.
 	Trace bool
-	// Shards is the default shard count for embedders running fleet-scale
-	// simulations on the sharded event engine (sim.Cluster): 0 or 1 keeps
-	// the sequential engine, N > 1 partitions connected components across
-	// N shards. Single-node transfer stacks ignore it — one node is one
-	// component and always simulates sequentially.
-	Shards int
 }
 
 // Planner produces a multi-path configuration for a transfer. core.Model
@@ -133,7 +125,6 @@ func DefaultConfig() Config {
 		EngineConfig:         pipeline.DefaultConfig(),
 		PatternAwareMinBytes: 24 * hw.MiB,
 		FailoverEnable:       true,
-		FailoverMaxRetries:   3,
 		AdaptSegments:        1,
 		AdaptMinBytes:        16 * hw.MiB,
 	}
@@ -144,20 +135,18 @@ func DefaultConfig() Config {
 //
 //	UCX_MP_ENABLE        y|n
 //	UCX_MP_PATHS         direct|2gpus|3gpus|3gpus_host|all
-//	UCX_RNDV_THRESH      bytes (integer)
+//	UCX_RNDV_THRESH      bytes (finite, ≥ 0)
 //	UCX_MP_MAX_CHUNKS    integer
 //	UCX_MP_PIPELINING    y|n
 //	UCX_MP_BIDIR_AWARE   y|n
 //	UCX_MP_ADAPTIVE_PHI  y|n
 //	UCX_MP_LOAD_AWARE    y|n
 //	UCX_MP_FAILOVER      y|n
-//	UCX_MP_MAX_RETRIES   integer ≥ 0
 //	UCX_MP_ADAPT_SEGMENTS integer ≥ 1
-//	UCX_MP_ADAPT_MIN_BYTES bytes (integer)
+//	UCX_MP_ADAPT_MIN_BYTES bytes (finite, ≥ 0)
 //	UCX_MP_GRAPHS        y|n
 //	UCX_MP_RECALIBRATE   y|n
 //	UCX_MP_TRACE         y|n
-//	UCX_MP_SHARDS        integer ≥ 0 (0/1 = sequential engine)
 func ParseConfig(env map[string]string) (Config, error) {
 	cfg := DefaultConfig()
 	// Walk variables in sorted order so that with several invalid entries
@@ -182,8 +171,8 @@ func ParseConfig(env map[string]string) (Config, error) {
 			}
 			cfg.PathSet = v
 		case "UCX_RNDV_THRESH":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			f, ok := parseBytes(v)
+			if !ok {
 				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
 			}
 			cfg.RndvThreshold = f
@@ -223,12 +212,6 @@ func ParseConfig(env map[string]string) (Config, error) {
 				return cfg, fmt.Errorf("ucx: %s: %w", k, err)
 			}
 			cfg.FailoverEnable = b
-		case "UCX_MP_MAX_RETRIES":
-			i, err := strconv.Atoi(v)
-			if err != nil || i < 0 {
-				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
-			}
-			cfg.FailoverMaxRetries = i
 		case "UCX_MP_ADAPT_SEGMENTS":
 			i, err := strconv.Atoi(v)
 			if err != nil || i < 1 {
@@ -236,8 +219,8 @@ func ParseConfig(env map[string]string) (Config, error) {
 			}
 			cfg.AdaptSegments = i
 		case "UCX_MP_ADAPT_MIN_BYTES":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			f, ok := parseBytes(v)
+			if !ok {
 				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
 			}
 			cfg.AdaptMinBytes = f
@@ -259,12 +242,6 @@ func ParseConfig(env map[string]string) (Config, error) {
 				return cfg, fmt.Errorf("ucx: %s: %w", k, err)
 			}
 			cfg.Trace = b
-		case "UCX_MP_SHARDS":
-			i, err := strconv.Atoi(v)
-			if err != nil || i < 0 {
-				return cfg, fmt.Errorf("ucx: bad %s=%q", k, v)
-			}
-			cfg.Shards = i
 		default:
 			return cfg, fmt.Errorf("ucx: unknown variable %q", k)
 		}
@@ -285,6 +262,14 @@ func newPlannerModel(cfg Config, source core.ParamSource) *core.Model {
 		mo.AccumulateLaunch = false
 	}
 	return core.NewModel(source, mo)
+}
+
+// parseBytes parses a byte count, which must be finite and non-negative.
+// The comparison is written so that NaN fails it: every threshold compared
+// against a NaN byte count is false, silently disabling what it gates.
+func parseBytes(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
 }
 
 func parseBool(v string) (bool, error) {

@@ -2,6 +2,7 @@ package ucx
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cuda"
@@ -84,6 +85,45 @@ func TestParseConfigErrors(t *testing.T) {
 			t.Errorf("env %v accepted", env)
 		}
 	}
+}
+
+// FuzzParseConfig feeds ParseConfig an environment block, one KEY=VALUE
+// per line. ParseConfig must never panic, and every config it accepts must
+// hold the ranges it validates; the seed corpus is in
+// testdata/fuzz/FuzzParseConfig.
+func FuzzParseConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, block string) {
+		env := map[string]string{}
+		for _, line := range strings.Split(block, "\n") {
+			k, v, _ := strings.Cut(line, "=")
+			env[k] = v
+		}
+		cfg, err := ParseConfig(env)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "ucx: ") {
+				t.Errorf("error %q lacks the ucx prefix", err)
+			}
+			return
+		}
+		for name, v := range map[string]float64{
+			"RndvThreshold":        cfg.RndvThreshold,
+			"RndvOverhead":         cfg.RndvOverhead,
+			"IpcOpenCost":          cfg.IpcOpenCost,
+			"PatternAwareMinBytes": cfg.PatternAwareMinBytes,
+			"AdaptMinBytes":        cfg.AdaptMinBytes,
+		} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				t.Errorf("%s = %v accepted from %q", name, v, block)
+			}
+		}
+		if cfg.ModelOptions.MaxChunks < 1 || cfg.AdaptSegments < 1 {
+			t.Errorf("MaxChunks %d, AdaptSegments %d accepted from %q",
+				cfg.ModelOptions.MaxChunks, cfg.AdaptSegments, block)
+		}
+		if _, err := PathSetByName(cfg.PathSet); err != nil {
+			t.Errorf("path set %q accepted from %q", cfg.PathSet, block)
+		}
+	})
 }
 
 func TestPathSetByName(t *testing.T) {

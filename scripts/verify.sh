@@ -70,25 +70,25 @@ go test -race -count=3 \
 # ladders, proving the sharded experiment (and its checksum-equality
 # enforcement across worker and shard counts) runs end to end.
 echo "==> mpbench -exp shard smoke (quick ladders)"
-go run ./cmd/mpbench -exp shard -quick -shard-json ""
+go run ./cmd/mpbench -exp shard -quick
 
 # Compiled-graph smoke: one size on one cluster through both engines plus
 # the launch ladder, proving the graphs experiment runs end to end without
 # regenerating the full BENCH_graphs.json grid.
 echo "==> mpbench -exp graphs smoke (1 size x 1 cluster)"
-go run ./cmd/mpbench -exp graphs -quick -graphs-json ""
+go run ./cmd/mpbench -exp graphs -quick
 
 # Observability smoke: the overhead probe on one size plus a traced
 # fault-rich run validated for schema and byte-determinism by the exp
 # tests; here just prove the experiment and exporter run end to end.
 echo "==> mpbench -exp obs smoke (1 size, trace export)"
-go run ./cmd/mpbench -exp obs -quick -obs-json "" -trace /tmp/mp_verify_trace.json >/dev/null
+go run ./cmd/mpbench -exp obs -quick -trace /tmp/mp_verify_trace.json >/dev/null
 rm -f /tmp/mp_verify_trace.json
 
 # Serving smoke: the wire benchmark exercises the daemon stack in-process
 # (both clusters, HTTP single + batch + TCP framing) with reduced volume.
 echo "==> mpbench -exp serve smoke (reduced replay)"
-go run ./cmd/mpbench -exp serve -quick -serve-json "" >/dev/null
+go run ./cmd/mpbench -exp serve -quick >/dev/null
 
 # Daemon smoke: start mpserve on a random port, round-trip one batch over
 # the real binary's HTTP API, and check /v1/stats reports both clusters.
