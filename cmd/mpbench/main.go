@@ -29,9 +29,13 @@ import (
 
 const expUsage = "experiment: fig4|fig5|fig6|fig7|headline|ext|obs|obs2|plancache|faults|graphs|shard|serve|all"
 
-// experiment runs one -exp entry, prints its tables and returns the figures
-// it ran (for -csv) and, for a benchmark experiment, its -json record.
-type experiment func(o exp.Options, quick bool) (figs []*exp.Figure, rec any, err error)
+// experiment is one -exp entry. run prints its tables and returns the
+// figures it ran (for -csv) and, when record is set (the benchmark
+// experiments), the record -json writes.
+type experiment struct {
+	run    func(o exp.Options, quick bool) (figs []*exp.Figure, rec any, err error)
+	record bool
+}
 
 var experiments = map[string]experiment{
 	"fig4": figures(exp.Fig4),
@@ -41,29 +45,29 @@ var experiments = map[string]experiment{
 	"ext": figures(exp.ExtBidirAware, exp.ExtPatternAware, exp.ExtAdaptivePhi,
 		exp.ExtNVSwitch, exp.ExtInterNode),
 	"obs2": figures(exp.ObsWindowScaling),
-	"headline": func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
+	"headline": {run: func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
 		h, f5, f6, f7, err := exp.RunHeadline(o)
 		if err != nil {
 			return nil, nil, err
 		}
 		return []*exp.Figure{f5, f6, f7}, nil, exp.RenderHeadline(os.Stdout, h)
-	},
-	"all": func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
-		figs, _, err := figures(exp.Fig4, exp.Fig5, exp.Fig6, exp.Fig7)(o, quick)
+	}},
+	"all": {run: func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
+		figs, _, err := figures(exp.Fig4, exp.Fig5, exp.Fig6, exp.Fig7).run(o, quick)
 		if err != nil {
 			return nil, nil, err
 		}
 		return figs, nil, exp.RenderHeadline(os.Stdout, exp.HeadlineFromFigures(figs[1], figs[2], figs[3]))
-	},
-	"plancache": func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
+	}},
+	"plancache": {record: true, run: func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
 		fig, points, err := exp.PlanCacheBench(o)
 		return shown(fig, plannerRecord(points), err)
-	},
-	"faults": func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
+	}},
+	"faults": {record: true, run: func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
 		fig, points, err := exp.Faults(o)
 		return shown(fig, faultsRecord(points), err)
-	},
-	"graphs": func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
+	}},
+	"graphs": {record: true, run: func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
 		// The eliminated per-chunk/per-path overheads matter most at small
 		// sizes; 4 MiB is where the multi-path split first kicks in.
 		o.Sizes = exp.GraphSizes()
@@ -72,31 +76,31 @@ var experiments = map[string]experiment{
 		}
 		fig, points, launch, err := exp.GraphsBench(o)
 		return shown(fig, graphsRecord(points, launch), err)
-	},
-	"obs": func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
+	}},
+	"obs": {record: true, run: func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
 		if quick {
 			o.Sizes = []float64{4 * hw.MiB}
 		}
 		fig, points, err := exp.ObsBench(o)
 		return shown(fig, obsRecord(points), err)
-	},
-	"shard": func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
+	}},
+	"shard": {record: true, run: func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
 		fig, points, err := exp.ShardBench(o)
 		return shown(fig, shardRecord(points), err)
-	},
-	"serve": func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
+	}},
+	"serve": {record: true, run: func(o exp.Options, quick bool) ([]*exp.Figure, any, error) {
 		if quick {
 			// A few batches per series, still end-to-end over real sockets.
 			o.ServePlans = 8 * exp.ServeBatchSize
 		}
 		fig, points, err := exp.ServeBench(o)
 		return shown(fig, serveRecord(points), err)
-	},
+	}},
 }
 
 // figures runs each generator and prints its table and a blank line.
 func figures(gens ...func(exp.Options) (*exp.Figure, error)) experiment {
-	return func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
+	return experiment{run: func(o exp.Options, _ bool) ([]*exp.Figure, any, error) {
 		var figs []*exp.Figure
 		for _, gen := range gens {
 			fig, err := gen(o)
@@ -110,7 +114,7 @@ func figures(gens ...func(exp.Options) (*exp.Figure, error)) experiment {
 			figs = append(figs, fig)
 		}
 		return figs, nil, nil
-	}
+	}}
 }
 
 // shown prints the one table of a benchmark experiment, with no blank line
@@ -144,9 +148,12 @@ func main() {
 	)
 	flag.Parse()
 
-	run, ok := experiments[*expName]
+	e, ok := experiments[*expName]
 	if !ok {
 		fatal("unknown experiment %q", *expName)
+	}
+	if *jsonPath != "" && !e.record {
+		fatal("-exp %s writes no -json record", *expName)
 	}
 	opts := exp.DefaultOptions()
 	if *quick {
@@ -188,15 +195,12 @@ func main() {
 	}
 	opts.Shards = *shards
 
-	figs, rec, err := run(opts, *quick)
+	figs, rec, err := e.run(opts, *quick)
 	if err != nil {
 		fatal("%s: %v", *expName, err)
 	}
 
 	if *jsonPath != "" {
-		if rec == nil {
-			fatal("-exp %s writes no -json record", *expName)
-		}
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)

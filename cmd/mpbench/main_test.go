@@ -70,6 +70,23 @@ func TestQuickAppliesGridFlags(t *testing.T) {
 	}
 }
 
+// TestJSONWithoutRecordFailsBeforeRun pins that -json on an experiment
+// that writes no record exits 1 before running anything: no table on
+// stdout and no file written.
+func TestJSONWithoutRecordFailsBeforeRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	out, ok := runMPBench(t, "-exp", "fig5", "-quick", "-json", path)
+	if ok {
+		t.Fatal("mpbench -exp fig5 -quick -json exited 0")
+	}
+	if out != "" {
+		t.Errorf("mpbench -exp fig5 -quick -json ran before failing; stdout:\n%s", out)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-json file %s exists after the rejected run (stat: %v)", path, err)
+	}
+}
+
 // TestRecordLayoutMatchesCheckedInBench rebuilds every -json record from
 // the series of its checked-in BENCH file, without running the sweeps, and
 // checks the record's keys against the file's: the top-level keys in order,

@@ -26,6 +26,9 @@ type refNet struct {
 	now       float64
 	settledAt float64
 	carried   []float64 // per-link bytes carried
+	// tolMarks counts links marked as bottlenecks only through the
+	// tolerance: residual/unfrozen above the share but within share+tol.
+	tolMarks int
 }
 
 type refFlow struct {
@@ -95,9 +98,12 @@ func (rn *refNet) maxMinRates() {
 			if rn.unfrozen[li] == 0 {
 				continue
 			}
-			if rn.residual[li]/float64(rn.unfrozen[li]) <= share+tol {
+			if fair := rn.residual[li] / float64(rn.unfrozen[li]); fair <= share+tol {
 				rn.mark[li] = round
 				marked++
+				if fair > share {
+					rn.tolMarks++
+				}
 			}
 		}
 		if marked == 0 {
@@ -329,6 +335,141 @@ func TestChurnMatchesReference(t *testing.T) {
 		if n.ActiveFlowCount() != 0 {
 			t.Fatalf("seed %d: %d flows still active", seed, n.ActiveFlowCount())
 		}
+	}
+}
+
+// refRates runs the reference progressive filling on n's current flow set
+// and link capacities, returning each flow's reference rate in n.flows
+// order and the number of tolerance-only bottleneck marks.
+func refRates(n *Network) ([]float64, int) {
+	rn := &refNet{
+		caps:     make([]float64, len(n.links)),
+		residual: make([]float64, len(n.links)),
+		unfrozen: make([]int, len(n.links)),
+		mark:     make([]int, len(n.links)),
+	}
+	for i, l := range n.links {
+		rn.caps[i] = l.capacity
+	}
+	for _, f := range n.flows {
+		rf := &refFlow{}
+		for _, l := range f.route {
+			rf.route = append(rf.route, l.idx)
+		}
+		rn.flows = append(rn.flows, rf)
+	}
+	rn.maxMinRates()
+	rates := make([]float64, len(rn.flows))
+	for i, rf := range rn.flows {
+		rates[i] = rf.newRate
+	}
+	return rates, rn.tolMarks
+}
+
+// TestTieBranchMatchesReference drives links of one capacity, where fair
+// shares tie up to float error and the 1e-9 tolerance decides which links
+// are bottlenecks, through starts over 1- to 5-link routes (5 is past the
+// inline route-index buffer), completions, capacity changes, failures and
+// restores. After every operation and every event instant it requires
+// each flow's rate to match the reference bit for bit.
+//
+// Each run opens with a tie the tolerance must resolve: link A carries six
+// flows, two of them also on X, which carries two more; Y carries three.
+// Round 1 freezes A's flows at C/6, and round 2 finds X at (C-C/6-C/6)/2
+// and Y at C/3. With C = 123.4 those differ in the last bit, so X is a
+// bottleneck only through the tolerance.
+func TestTieBranchMatchesReference(t *testing.T) {
+	for _, seed := range []int64{3, 11, 2024} {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.New()
+		n := NewNetwork(s)
+		links := make([]*Link, 8)
+		for i := range links {
+			links[i] = n.AddLink("l", 123.4)
+		}
+		a, x, y := links[0], links[1], links[2]
+		for _, route := range [][]*Link{{a}, {a}, {a}, {a}, {a, x}, {a, x}, {x}, {x}, {y}, {y}, {y}} {
+			n.StartFlow(1e4, route...)
+		}
+		tolMarks := 0
+		check := func(step int, what string) {
+			t.Helper()
+			want, marks := refRates(n)
+			tolMarks += marks
+			for i, f := range n.flows {
+				if math.Float64bits(f.rate) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d step %d after %s: flow seq %d rate %v, reference %v",
+						seed, step, what, f.seq, f.rate, want[i])
+				}
+			}
+		}
+		check(-1, "opening tie")
+		if tolMarks == 0 {
+			t.Fatalf("seed %d: the opening tie was not marked through the tolerance", seed)
+		}
+		routeLens := []int{3, 4, 5, 1, 2}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				perm := rng.Perm(len(links))
+				route := make([]*Link, routeLens[rng.Intn(len(routeLens))])
+				for i := range route {
+					route[i] = links[perm[i]]
+				}
+				n.StartFlow(1+rng.Float64()*3000, route...)
+				check(step, "start")
+			case op < 8:
+				scales := []float64{1, 0.5, 1.0 / 3, 2.0 / 3}
+				links[rng.Intn(len(links))].SetCapacityScale(scales[rng.Intn(len(scales))])
+				check(step, "capacity change")
+			case op < 9:
+				links[rng.Intn(len(links))].FailLink()
+				check(step, "failure")
+			default:
+				links[rng.Intn(len(links))].Restore()
+				check(step, "restore")
+			}
+			if at, ok := s.NextEventTime(); ok {
+				if err := s.RunUntil(at); err != nil {
+					t.Fatal(err)
+				}
+				check(step, "event")
+			}
+		}
+	}
+}
+
+// TestReallocateAllocFree gates re-rating at zero allocations with the
+// active-link list in place: a plain re-rate and a capacity toggle that
+// changes every rate and reschedules every completion event.
+func TestReallocateAllocFree(t *testing.T) {
+	s := sim.New()
+	n := NewNetwork(s)
+	links := make([]*Link, 6)
+	for i := range links {
+		links[i] = n.AddLink("l", 1e9)
+	}
+	for i := 0; i < 24; i++ {
+		route := links[i%3 : i%3+1+i%4]
+		if i%5 == 0 {
+			route = links[:5]
+		}
+		n.StartFlow(1e15, route...)
+	}
+	if a := testing.AllocsPerRun(100, n.reallocate); a != 0 {
+		t.Errorf("reallocate allocates %.1f/op, want 0", a)
+	}
+	scales := []float64{0.5, 1}
+	i := 0
+	toggle := func() {
+		links[0].SetCapacityScale(scales[i%2])
+		i++
+	}
+	for j := 0; j < 200; j++ {
+		toggle() // fill the event pool and the heap to their steady size
+	}
+	if a := testing.AllocsPerRun(100, toggle); a != 0 {
+		t.Errorf("capacity toggle allocates %.1f/op, want 0", a)
 	}
 }
 

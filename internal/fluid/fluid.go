@@ -18,9 +18,20 @@
 // be allocation-free in steady state: active-flow sets are slices with
 // order-preserving (network) and swap (link) removal, progressive filling
 // works on scratch fields embedded in Link and Flow rather than per-call
-// maps, flows freeze in monotonic start-sequence order (deterministic
-// without sorting), and a flow's completion event is only canceled and
-// rescheduled when its rate actually changed.
+// maps, and a flow's completion event is only canceled and rescheduled
+// when its rate actually changed.
+//
+// It also touches only what can change. The network keeps the list of
+// links that carry at least one flow (a link joins when its first flow
+// starts and leaves when its last flow finishes or fails), so settling and
+// filling never scan idle links. A filling round freezes the flows found
+// in the bottleneck links' own active lists, walking only their routes,
+// and drops links whose flows have all frozen. The result is bit-identical
+// to freezing flows in start order over every link; maxMinRates says why.
+// Re-rating only the connected component a change touched would not be:
+// the bottleneck tolerance lets a link in one component freeze at another
+// component's share within the same round, so per-component fixpoints can
+// differ from the global one in the last bits.
 package fluid
 
 import (
@@ -53,11 +64,12 @@ type Link struct {
 	busy         float64 // integrated seconds with >=1 active flow
 
 	// progressive-filling scratch, valid only inside maxMinRates.
-	residual  float64 // capacity not yet claimed by frozen flows
-	unfrozen  int     // active flows not yet frozen
-	markRound int     // round at which the link was last a bottleneck
+	residual float64 // capacity not yet claimed by frozen flows
+	unfrozen int     // active flows not yet frozen
+	fair     float64 // residual/unfrozen at the start of the current round
 
-	idx int // position in net.links; union-find key for Components
+	idx       int // position in net.links; union-find key for Components
+	activeIdx int // position in net.activeLinks while len(active) > 0
 }
 
 // Name returns the link's diagnostic name.
@@ -162,8 +174,8 @@ type Flow struct {
 	net        *Network
 
 	// progressive-filling scratch, valid only inside a reallocate call.
-	frozen  bool
-	newRate float64
+	frozenIn uint64 // the filling pass that froze the flow (net.fills)
+	newRate  float64
 }
 
 // Done returns the signal that fires when the flow completes.
@@ -195,8 +207,16 @@ type Network struct {
 	settledAt sim.Time
 	label     string // diagnostic label (shard/node name in fleet builds)
 
-	// reusable scratch for maxMinRates.
+	// activeLinks holds exactly the links with at least one active flow,
+	// in no particular order: a link joins when its first flow starts and
+	// leaves when its last flow finishes or fails. settle and maxMinRates
+	// scan it instead of every link.
 	activeLinks []*Link
+
+	// reusable scratch for maxMinRates: the links that held unfrozen flows
+	// at the end of the last round, and the count of filling passes run.
+	scan  []*Link
+	fills uint64
 }
 
 // NewNetwork creates an empty flow network on the given simulator.
@@ -284,6 +304,10 @@ func (n *Network) StartFlow(bytes float64, route ...*Link) *Flow {
 		f.routeIdx = make([]int, 0, len(route))
 	}
 	for _, l := range route {
+		if len(l.active) == 0 {
+			l.activeIdx = len(n.activeLinks)
+			n.activeLinks = append(n.activeLinks, l)
+		}
 		f.routeIdx = append(f.routeIdx, len(l.active))
 		l.active = append(l.active, f)
 	}
@@ -305,10 +329,7 @@ func (n *Network) settle() {
 			f.remaining = 0
 		}
 	}
-	for _, l := range n.links {
-		if len(l.active) == 0 {
-			continue
-		}
+	for _, l := range n.activeLinks {
 		var sum float64
 		for _, f := range l.active {
 			sum += f.rate
@@ -345,93 +366,88 @@ func (n *Network) reallocate() {
 }
 
 // maxMinRates runs progressive filling over the current flow set, leaving
-// each flow's allocation in its newRate scratch field. It allocates nothing:
-// link residual capacity and unfrozen counts live on the links, bottleneck
-// membership is a round stamp, and flows freeze in start-sequence order
-// (n.flows is kept sorted by seq), which fixes the floating-point
-// accumulation order deterministically — including for flows started at the
-// same virtual instant, where the old started-time sort fell back to map
-// iteration order.
+// each flow's allocation in its newRate scratch field. It allocates nothing
+// and touches no flow outside the rounds: link residual capacity, unfrozen
+// counts and fair shares live on the links, a flow is frozen when stamped
+// with the current pass number, and the scan list reuses a scratch slice
+// on the network.
+//
+// Each round computes every scanned link's fair share residual/unfrozen,
+// takes the least as the bottleneck share, and freezes the unfrozen flows
+// found in the active lists of the links whose fair share is within a
+// 1e-9 relative tolerance of it. Only those flows' routes are walked, and
+// a link whose last unfrozen flow froze leaves the scan list. The result
+// does not depend on the order flows or links are visited: the share and
+// every link's fair share are fixed before any flow of the round freezes,
+// every flow frozen in a round gets that one share, and every residual
+// update in the round subtracts it and clamps at zero (a monotone map, so
+// k updates give the same value in any order). It is therefore
+// bit-identical to freezing in start (seq) order over links in creation
+// order, the reference the churn tests pin it to.
 func (n *Network) maxMinRates() {
-	n.activeLinks = n.activeLinks[:0]
-	for _, l := range n.links {
-		if len(l.active) > 0 {
-			l.residual = l.capacity
-			l.unfrozen = len(l.active)
-			l.markRound = 0
-			n.activeLinks = append(n.activeLinks, l)
-		}
-	}
-	for _, f := range n.flows {
-		f.frozen = false
+	n.fills++
+	fill := n.fills
+	scan := append(n.scan[:0], n.activeLinks...)
+	for _, l := range scan {
+		l.residual = l.capacity
+		l.unfrozen = len(l.active)
 	}
 	remaining := len(n.flows)
-	for round := 1; remaining > 0; round++ {
-		// Find the bottleneck share: min over links of residual/unfrozen.
+	for remaining > 0 {
+		// Find the bottleneck share, the least fair share, dropping links
+		// whose flows all froze in the last round (by swapping in the last
+		// link: the scan order does not matter).
 		share := math.Inf(1)
-		for _, l := range n.activeLinks {
+		for i := 0; i < len(scan); {
+			l := scan[i]
 			if l.unfrozen == 0 {
+				last := len(scan) - 1
+				scan[i] = scan[last]
+				scan = scan[:last]
 				continue
 			}
-			if s := l.residual / float64(l.unfrozen); s < share {
-				share = s
+			l.fair = l.residual / float64(l.unfrozen)
+			if l.fair < share {
+				share = l.fair
 			}
+			i++
 		}
 		if math.IsInf(share, 1) {
 			break // no constraining link left; shouldn't happen
 		}
-		// Mark links that hit the bottleneck share (within a small relative
-		// tolerance to absorb float error).
+		// Freeze the unfrozen flows crossing a link that hits the
+		// bottleneck share (within a small relative tolerance to absorb
+		// float error). The link holding the least fair share always
+		// qualifies, so every round freezes at least one flow.
 		tol := share * 1e-9
-		marked := 0
-		for _, l := range n.activeLinks {
-			if l.unfrozen == 0 {
+		for _, l := range scan {
+			if l.fair > share+tol {
 				continue
 			}
-			if l.residual/float64(l.unfrozen) <= share+tol {
-				l.markRound = round
-				marked++
-			}
-		}
-		if marked == 0 {
-			break // numerical corner; leave the rest unfrozen
-		}
-		// Freeze unfrozen flows crossing a marked link, in seq order.
-		progressed := false
-		for _, f := range n.flows {
-			if f.frozen {
-				continue
-			}
-			hit := false
-			for _, l := range f.route {
-				if l.markRound == round {
-					hit = true
-					break
+			for _, f := range l.active {
+				if f.frozenIn == fill {
+					continue
+				}
+				f.frozenIn = fill
+				f.newRate = share
+				remaining--
+				for _, rl := range f.route {
+					rl.residual -= share
+					if rl.residual < 0 {
+						rl.residual = 0
+					}
+					rl.unfrozen--
 				}
 			}
-			if !hit {
-				continue
-			}
-			f.frozen = true
-			f.newRate = share
-			remaining--
-			progressed = true
-			for _, l := range f.route {
-				l.residual -= share
-				if l.residual < 0 {
-					l.residual = 0
-				}
-				l.unfrozen--
-			}
-		}
-		if !progressed {
-			break // defensive: marked links had no unfrozen flows
 		}
 	}
-	// Any flow not frozen (degenerate corner) gets no allocation.
-	for _, f := range n.flows {
-		if !f.frozen {
-			f.newRate = 0
+	n.scan = scan
+	if remaining > 0 {
+		// Any flow not frozen (degenerate corner) gets no allocation.
+		for _, f := range n.flows {
+			if f.frozenIn != fill {
+				f.newRate = 0
+			}
 		}
 	}
 }
@@ -454,6 +470,10 @@ func (n *Network) removeFlow(f *Flow) {
 		l.active[idx] = moved
 		l.active[last] = nil
 		l.active = l.active[:last]
+		if last == 0 {
+			n.deactivate(l)
+			continue
+		}
 		if moved != f {
 			for mi, ml := range moved.route {
 				if ml == l {
@@ -463,6 +483,17 @@ func (n *Network) removeFlow(f *Flow) {
 			}
 		}
 	}
+}
+
+// deactivate removes a link whose last flow left from n.activeLinks,
+// swapping the last entry into its place.
+func (n *Network) deactivate(l *Link) {
+	last := len(n.activeLinks) - 1
+	moved := n.activeLinks[last]
+	n.activeLinks[l.activeIdx] = moved
+	moved.activeIdx = l.activeIdx
+	n.activeLinks[last] = nil
+	n.activeLinks = n.activeLinks[:last]
 }
 
 // failFlow aborts an in-flight flow: it is removed from the network and its

@@ -8,9 +8,11 @@ func TestPendingCounter(t *testing.T) {
 	s := New()
 	brute := func() int {
 		n := 0
-		for _, ev := range s.queue {
-			if !ev.canceled {
-				n++
+		for _, lane := range [][]slot{s.ready[s.readyHead:], s.queue} {
+			for _, x := range lane {
+				if !s.events[x.id].canceled {
+					n++
+				}
 			}
 		}
 		return n

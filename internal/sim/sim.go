@@ -15,13 +15,26 @@
 //
 // Event structs are pooled: an executed or compacted-away event is recycled
 // for the next Schedule/At call, so steady-state scheduling does not
-// allocate. Canceled events stay in the heap until popped, but when they
-// outnumber live events the queue is compacted in place, bounding heap
+// allocate. Canceled events stay queued until they reach the head, but when
+// they outnumber live events the queue is compacted in place, bounding its
 // growth under heavy cancel/reschedule churn (the fluid re-rating pattern).
+//
+// Pending events are slots that hold the ordering key inline — {at, seq,
+// id} — where id indexes the simulator's registry of pooled event structs.
+// Slots carry no pointers, so queue operations move plain values (no GC
+// write barriers) and compare keys without dereferencing an event; the
+// registry is only consulted at the head, to skip canceled events and to
+// run the callback. Slots wait in one of two lanes. An event scheduled for
+// the current instant (zero delay: signal waiters, process steps) is
+// appended to a FIFO ready lane; every other event goes into a typed 4-ary
+// min-heap. The ready lane stays sorted without any sifting: its events
+// share one time (the clock cannot pass them while they wait) and are
+// appended in seq order. The next event is the lower of the two lane
+// heads under (at, seq), a total order — seq is unique per simulator — so
+// the run order is the same as with a single heap of any shape.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -38,14 +51,12 @@ type Duration = float64
 // they run or are compacted away; gen disambiguates a recycled struct from
 // the event an old handle referred to.
 type event struct {
-	at  Time
-	seq uint64
 	fn  func()
 	sim *Simulator
-	// canceled events stay in the heap but are skipped when popped.
+	gen uint64
+	id  uint32 // index in sim.events, fixed for the struct's lifetime
+	// canceled events stay queued but are skipped at the head.
 	canceled bool
-	index    int
-	gen      uint64
 }
 
 // EventHandle allows a scheduled event to be canceled before it fires.
@@ -77,48 +88,95 @@ func (h EventHandle) Cancel() {
 	ev.fn = nil // release the closure now; the shell stays queued
 	s := ev.sim
 	s.canceled++
-	// Compact when cancellations dominate the heap. The threshold keeps
+	// Compact when cancellations dominate the queue. The threshold keeps
 	// compaction amortized O(1) per cancel while bounding memory at ~2x
 	// the live event count.
-	if s.canceled > len(s.queue)/2 && len(s.queue) >= compactMinQueue {
+	if queued := s.queued(); s.canceled > queued/2 && queued >= compactMinQueue {
 		s.compact()
 	}
 }
 
-// compactMinQueue is the minimum heap size before cancel-triggered
+// compactMinQueue is the minimum queue size before cancel-triggered
 // compaction kicks in; below it the wasted slots are too small to matter.
 const compactMinQueue = 64
 
-type eventQueue []*event
+// slot is one queue entry: the ordering key of a pending event plus the
+// event's index in the simulator's registry.
+type slot struct {
+	at  Time
+	seq uint64
+	id  uint32
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a runs before b: earlier time, then earlier
+// scheduling.
+func (a slot) before(b slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// eventQueue is a 4-ary min-heap of slots ordered by before. A wider node
+// halves the tree depth of a binary heap, and the four children of a node
+// share a cache line or two, so a pop costs fewer dependent loads.
+type eventQueue []slot
+
+func (q *eventQueue) push(x slot) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	*q = h
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+// pop removes the head slot; the queue must not be empty.
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		h.siftDown(0, last)
+	}
+	*q = h
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// siftDown places x at index i or below, moving smaller children up.
+func (h eventQueue) siftDown(i int, x slot) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}
+
+// init restores the heap invariant over arbitrary contents.
+func (h eventQueue) init() {
+	for i := (len(h)+2)/4 - 1; i >= 0; i-- { // the last node with a child
+		h.siftDown(i, h[i])
+	}
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -128,10 +186,14 @@ func (q *eventQueue) Pop() any {
 // Simulator is still only ever touched by one goroutine at a time — see
 // shard.go.)
 type Simulator struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	running bool
+	now   Time
+	queue eventQueue // events scheduled past the instant they were scheduled at
+	// ready holds the events scheduled for the current instant, in seq
+	// order, from index readyHead on.
+	ready     []slot
+	readyHead int
+	seq       uint64
+	running   bool
 	// procs counts live (spawned, not yet finished) processes, used for
 	// deadlock detection when the event queue drains.
 	procs   int
@@ -139,7 +201,8 @@ type Simulator struct {
 	err     error
 	stopped bool
 
-	canceled int      // canceled events still sitting in the heap
+	canceled int      // canceled events still queued
+	events   []*event // registry of every pooled event struct, by id
 	free     []*event // recycled event structs
 
 	// executed counts events run so far (diagnostics; epoch accounting).
@@ -166,7 +229,12 @@ func (s *Simulator) Now() Time { return s.now }
 // Pending returns the number of scheduled, not-yet-executed events.
 // It is O(1): the simulator tracks cancellations with a live counter.
 func (s *Simulator) Pending() int {
-	return len(s.queue) - s.canceled
+	return s.queued() - s.canceled
+}
+
+// queued returns the number of slots in both lanes, canceled ones included.
+func (s *Simulator) queued() int {
+	return len(s.queue) + len(s.ready) - s.readyHead
 }
 
 // Executed returns the number of events run since creation (diagnostics;
@@ -181,16 +249,41 @@ func (s *Simulator) Shard() int { return s.shard }
 // ok=false when none remain. Canceled events found at the head of the
 // queue are retired on the way (they would be skipped by Run anyway).
 func (s *Simulator) NextEventTime() (Time, bool) {
-	for s.queue.Len() > 0 {
-		ev := s.queue[0]
-		if !ev.canceled {
-			return ev.at, true
+	top, ev, _ := s.head()
+	return top.at, ev != nil
+}
+
+// head returns the earliest live event's slot and struct, the lower of the
+// two lane heads, retiring canceled events found there on the way; ready
+// reports whether it heads the ready lane. With no live event left it
+// returns the zero slot and a nil event.
+func (s *Simulator) head() (top slot, ev *event, ready bool) {
+	for {
+		switch {
+		case s.readyHead < len(s.ready) && (len(s.queue) == 0 || s.ready[s.readyHead].before(s.queue[0])):
+			top, ready = s.ready[s.readyHead], true
+		case len(s.queue) > 0:
+			top, ready = s.queue[0], false
+		default:
+			return slot{}, nil, false
 		}
-		heap.Pop(&s.queue)
+		ev = s.events[top.id]
+		if !ev.canceled {
+			return top, ev, ready
+		}
+		s.dropHead(ready)
 		s.canceled--
 		s.recycle(ev)
 	}
-	return 0, false
+}
+
+// dropHead removes the head of the ready lane or of the heap.
+func (s *Simulator) dropHead(ready bool) {
+	if ready {
+		s.readyHead++
+	} else {
+		s.queue.pop()
+	}
 }
 
 // newEvent takes an event struct from the free list or allocates one.
@@ -201,10 +294,12 @@ func (s *Simulator) newEvent() *event {
 		s.free = s.free[:n-1]
 		return ev
 	}
-	return &event{sim: s}
+	ev := &event{sim: s, id: uint32(len(s.events))}
+	s.events = append(s.events, ev)
+	return ev
 }
 
-// recycle retires an event struct (already removed from the heap) to the
+// recycle retires an event struct (already removed from its lane) to the
 // free list, invalidating any outstanding handles to it.
 func (s *Simulator) recycle(ev *event) {
 	ev.gen++
@@ -213,26 +308,35 @@ func (s *Simulator) recycle(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// compact removes canceled events from the heap in place, recycling their
-// structs, and restores the heap invariant.
+// compact removes canceled events from both lanes in place, recycling
+// their structs, and restores the heap invariant.
 func (s *Simulator) compact() {
-	live := s.queue[:0]
-	for _, ev := range s.queue {
-		if ev.canceled {
+	s.queue = s.dropCanceled(s.queue)
+	s.queue.init()
+	s.shiftReady()
+	s.ready = s.dropCanceled(s.ready)
+	s.canceled = 0
+}
+
+// shiftReady moves the ready lane's unconsumed slots to the front of its
+// slice.
+func (s *Simulator) shiftReady() {
+	s.ready = s.ready[:copy(s.ready, s.ready[s.readyHead:])]
+	s.readyHead = 0
+}
+
+// dropCanceled recycles the canceled events among slots and returns the
+// live ones in their order, in place.
+func (s *Simulator) dropCanceled(slots []slot) []slot {
+	live := slots[:0]
+	for _, x := range slots {
+		if ev := s.events[x.id]; ev.canceled {
 			s.recycle(ev)
 		} else {
-			live = append(live, ev)
+			live = append(live, x)
 		}
 	}
-	for i := len(live); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = live
-	s.canceled = 0
-	for i, ev := range s.queue {
-		ev.index = i
-	}
-	heap.Init(&s.queue)
+	return live
 }
 
 // Schedule runs fn after delay units of virtual time. A negative delay is
@@ -251,11 +355,19 @@ func (s *Simulator) At(t Time, fn func()) EventHandle {
 		t = s.now
 	}
 	ev := s.newEvent()
-	ev.at = t
-	ev.seq = s.seq
 	ev.fn = fn
+	x := slot{at: t, seq: s.seq, id: ev.id}
 	s.seq++
-	heap.Push(&s.queue, ev)
+	if t != s.now {
+		s.queue.push(x)
+	} else {
+		// Reclaim the consumed prefix once it is half the lane, so a long
+		// same-instant cascade reuses the slice (amortized O(1) a slot).
+		if s.readyHead > 0 && s.readyHead >= len(s.ready)/2 {
+			s.shiftReady()
+		}
+		s.ready = append(s.ready, x)
+	}
 	return EventHandle{ev: ev, gen: ev.gen}
 }
 
@@ -301,7 +413,7 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 	defer func() { s.running = false }()
 
 	for !s.stopped {
-		ev := s.popRunnable()
+		top, ev, ready := s.head()
 		if ev == nil {
 			// A clustered shard with a drained queue may still receive
 			// cross-shard events at the next epoch barrier; the cluster
@@ -311,15 +423,15 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 			}
 			break
 		}
-		if ev.at > limit || (!inclusive && ev.at == limit) {
-			// Put it back for a later run.
-			heap.Push(&s.queue, ev)
+		if top.at > limit || (!inclusive && top.at == limit) {
+			// Leave it queued for a later run.
 			if s.now < limit {
 				s.now = limit
 			}
 			break
 		}
-		s.now = ev.at
+		s.dropHead(ready)
+		s.now = top.at
 		fn := ev.fn
 		// Recycle before running: the callback may schedule new events,
 		// which can then reuse this struct. The handle to this event is
@@ -329,20 +441,6 @@ func (s *Simulator) runLimit(limit Time, inclusive bool) error {
 		fn()
 	}
 	return s.err
-}
-
-// popRunnable removes and returns the earliest non-canceled event,
-// or nil when none remain.
-func (s *Simulator) popRunnable() *event {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if !ev.canceled {
-			return ev
-		}
-		s.canceled--
-		s.recycle(ev)
-	}
-	return nil
 }
 
 // Err returns the first error recorded during the run, if any.

@@ -66,6 +66,14 @@ go test -race -count=3 \
 	-run 'TestHotReloadDuringBatchPlanning|TestTCPRoundTrip' \
 	./internal/serve/
 
+# Fuzz smoke: ten seconds each past the checked-in corpora (which plain
+# go test replays) for the event queue against its sorted oracle and for
+# the UCX_MP_* environment parser. A short minimize budget keeps the
+# fuzzer from spending the whole smoke shrinking one new input.
+echo "==> go test -fuzz smoke (FuzzEventQueue, FuzzParseConfig; 10s each)"
+go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ucx/
+
 # Shard smoke: one reduced repetition of the fleet + single-component
 # ladders, proving the sharded experiment (and its checksum-equality
 # enforcement across worker and shard counts) runs end to end.
